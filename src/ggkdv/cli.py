@@ -42,6 +42,44 @@ class ConfigError(Exception):
     pass
 
 
+def _int(key: str, val, minimum: int | None = 0) -> int:
+    """An integer config value (integral floats pass), at least ``minimum``."""
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+    return val
+
+
+def _float(key: str, val, positive: bool = False) -> float:
+    """A finite float config value, strictly positive when asked."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not np.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+    if positive and not val > 0:
+        raise ConfigError(f"{key} must be positive, got {val!r}")
+    return float(val)
+
+
+def _mode(cfg: dict, aliases: dict) -> str:
+    """Mode from its short alias or its full name."""
+    mode = cfg.get("mode", "both")
+    mode = aliases.get(mode, mode) if isinstance(mode, str) else mode
+    if mode not in aliases.values():
+        raise ConfigError(f"unknown mode {mode!r}; expected one of "
+                          f"{', '.join(aliases)}")
+    return mode
+
+
+def _list(cfg: dict, key: str) -> list:
+    val = cfg.get(key) or []
+    if not isinstance(val, list):
+        raise ConfigError(f"{key} must be a list, got {val!r}")
+    return val
+
+
 def _params_from(cfg: dict) -> spectral.PhysicalParams:
     preset = cfg.get("preset")
     if preset is not None:
@@ -78,7 +116,7 @@ def _signal_terms(sig) -> list[dict]:
 
 def cmd_spectrum(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 8))
+    N = _int("N", cfg.get("N", 8))
     table = spectral.spectrum_table(params, N)
     rows = []
     for b in (spectral.Branch.PLUS, spectral.Branch.MINUS):
@@ -95,7 +133,7 @@ def cmd_spectrum(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_gaps(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 200))
+    N = _int("N", cfg.get("N", 200), minimum=2)
     report = spectral.gap_report(params, N)
     rows = []
     ks = np.arange(-N, N)
@@ -117,8 +155,8 @@ def cmd_gaps(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_resonance(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 12))
-    tol = float(cfg.get("tol", 1e-9))
+    N = _int("N", cfg.get("N", 12))
+    tol = _float("tol", cfg.get("tol", 1e-9), positive=True)
     report = spectral.resonance_check(params, N, tol)
     rows = [(str(k1), str(b1), str(k2), str(b2))
             for (k1, b1), (k2, b2) in report.violations]
@@ -132,17 +170,20 @@ def cmd_resonance(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_observe(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    ns = cfg.get("ns") or [int(cfg.get("N", 8))]
-    mode = {"both": "both", "u": "u_only", "v": "v_only"}.get(
-        cfg.get("mode", "both"), cfg.get("mode", "both"))
-    lengths = cfg.get("window_lengths") or [float(cfg.get("window_length", 1.0))]
-    x0 = float(cfg.get("x0", 0.0))
+    ns = [_int("ns", N) for N in _list(cfg, "ns")] \
+        or [_int("N", cfg.get("N", 8))]
+    mode = _mode(cfg, {"both": "both", "u": "u_only", "v": "v_only"})
+    lengths = [_float("window_lengths", length, positive=True)
+               for length in _list(cfg, "window_lengths")] \
+        or [_float("window_length", cfg.get("window_length", 1.0),
+                   positive=True)]
+    x0 = _float("x0", cfg.get("x0", 0.0))
     rows = []
     for N in ns:
         for length in lengths:
-            window = gram.ObservationWindow(0.0, float(length))
-            rep = gram.observability_constants(params, int(N), x0, window, mode)
-            rows.append((str(int(N)), length, mode, rep.alpha, rep.beta,
+            window = gram.ObservationWindow(0.0, length)
+            rep = gram.observability_constants(params, N, x0, window, mode)
+            rows.append((str(N), length, mode, rep.alpha, rep.beta,
                          str(rep.kernel_dim)))
     _write_csv(out / "observability.csv",
                ["N", "window_length", "mode", "alpha", "beta", "kernel_dim"],
@@ -154,10 +195,14 @@ def cmd_ingham(cfg, out: Path, quiet: bool) -> int:
     if "frequencies" in cfg:
         freqs = [float(f) for f in cfg["frequencies"]]
     else:
-        lo, hi = int(cfg.get("freq_min", -5)), int(cfg.get("freq_max", 5))
+        lo = _int("freq_min", cfg.get("freq_min", -5), minimum=None)
+        hi = _int("freq_max", cfg.get("freq_max", 5), minimum=lo)
         freqs = list(range(lo, hi + 1))
-    window = gram.ObservationWindow(float(cfg.get("t0", 0.0)),
-                                    float(cfg.get("t1", 2 * np.pi)))
+    t0 = _float("t0", cfg.get("t0", 0.0))
+    t1 = _float("t1", cfg.get("t1", 2 * np.pi))
+    if not t1 > t0:
+        raise ConfigError(f"window needs t1 > t0, got t0={t0!r}, t1={t1!r}")
+    window = gram.ObservationWindow(t0, t1)
     direct, inverse = gram.ingham_report(freqs, window)
     _write_csv(out / "ingham.csv",
                ["family_size", "window_length", "direct_const", "inverse_const"],
@@ -167,12 +212,11 @@ def cmd_ingham(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_control(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 6))
-    x0 = float(cfg.get("x0", 0.0))
-    T = float(cfg.get("T", 1.0))
-    mode = {"both": "both", "f": "f_only", "g": "g_only"}.get(
-        cfg.get("mode", "both"), cfg.get("mode", "both"))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    N = _int("N", cfg.get("N", 6))
+    x0 = _float("x0", cfg.get("x0", 0.0))
+    T = _float("T", cfg.get("T", 1.0))
+    mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
+    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     initial = _state_from(cfg.get("initial", "random"), N, rng)
     target = _state_from(cfg.get("target", "zero"), N, rng)
     plan = hum.solve_control(params, N, x0, T, initial, target, mode)
@@ -192,12 +236,12 @@ def cmd_control(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_stabilize(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 6))
-    x0 = float(cfg.get("x0", 0.0))
-    omega_target = float(cfg.get("omega_target", 0.5))
-    Th = float(cfg.get("Th", 2.0))
-    T_sim = float(cfg.get("T_sim", 20.0))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    N = _int("N", cfg.get("N", 6))
+    x0 = _float("x0", cfg.get("x0", 0.0))
+    omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
+    Th = _float("Th", cfg.get("Th", 2.0))
+    T_sim = _float("T_sim", cfg.get("T_sim", 20.0), positive=True)
+    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     state0 = _state_from(cfg.get("initial", "random"), N, rng)
     gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
     report = stabilize.closed_loop_simulate(params, N, gains, state0, T_sim)
@@ -215,11 +259,11 @@ def cmd_stabilize(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_duality(cfg, out: Path, quiet: bool) -> int:
     params = _params_from(cfg)
-    N = int(cfg.get("N", 6))
-    x0 = float(cfg.get("x0", 0.0))
-    T = float(cfg.get("T", 1.0))
-    draws = int(cfg.get("draws", 5))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    N = _int("N", cfg.get("N", 6))
+    x0 = _float("x0", cfg.get("x0", 0.0))
+    T = _float("T", cfg.get("T", 1.0))
+    draws = _int("draws", cfg.get("draws", 5))
+    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     from .signals import ExponentialSignal
     rows = []
     for i in range(draws):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EpsilonUnderflow
-from .signals import ExponentialSignal, exp_integral_matrix
+from .signals import ExponentialSignal, exp_kernel, stack_terms
 from .spectral import Branch, PhysicalParams, spectrum_table
 
 KERNEL_REL_TOL = 1e-14
@@ -120,18 +120,16 @@ def exp_gram(basis: list[ExponentialSignal], weights, window: ObservationWindow,
     """
     if not basis:
         raise ValueError("basis must be nonempty")
-    n = len(basis)
-    G = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        for j in range(m, n):
-            val = basis[m].l2_inner(basis[j], window.t0, window.t1)
-            if weights is not None:
-                val *= np.vdot(np.asarray(weights[j]), np.asarray(weights[m]))
-            G[m, j] = val
-            G[j, m] = np.conj(val)
+    amps, freqs, degrees = stack_terms(basis)
+    G = np.einsum("mj,nj->mn", exp_kernel(freqs, -freqs, window.t0,
+                                          window.t1, degrees, degrees,
+                                          left=amps), amps.conj())
+    if weights is not None:
+        W = np.array([np.ravel(w) for w in weights], dtype=complex)
+        G *= W @ W.conj().T
     # symmetrize away last-bit asymmetry
     G = (G + G.conj().T) / 2
-    return GramMatrix(labels or list(range(n)), G, window)
+    return GramMatrix(labels or list(range(len(basis))), G, window)
 
 
 def _trace_amplitudes(params: PhysicalParams, N: int, x0: float):
@@ -171,8 +169,7 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     if mode not in ("both", "u_only", "v_only"):
         raise ValueError(f"unknown mode {mode!r}")
     u_amp, v_amp, omega, ew, labels = _trace_amplitudes(params, N, x0)
-    base = exp_integral_matrix(omega[:, None] - omega[None, :],
-                               window.t0, window.t1)
+    base = exp_kernel(omega, -omega, window.t0, window.t1)
     O = np.zeros_like(base)
     if mode in ("both", "u_only"):
         O += np.outer(u_amp, np.conj(u_amp)) * base
@@ -231,8 +228,7 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     freqs = np.asarray(sorted(frequencies), dtype=float)
     if len(np.unique(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
-    G = exp_integral_matrix(freqs[:, None] - freqs[None, :],
-                            window.t0, window.t1)
+    G = exp_kernel(freqs, -freqs, window.t0, window.t1)
     G = (G + G.conj().T) / 2
     vals = scipy.linalg.eigvalsh(G)
     return float(vals[-1]), float(vals[0])

@@ -10,6 +10,7 @@ controls come out as exponential sums built from the adjoint solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -17,16 +18,35 @@ import scipy.linalg
 from .errors import ConstraintViolation, IllConditioned
 from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
                     h_norm, modal_uv, u_mean, v_mean)
-from .signals import ExponentialSignal, exp_integral_matrix
+from .signals import ExponentialSignal, exp_kernel, stack_terms
 from .spectral import Branch, PhysicalParams, spectrum_table
 
 COND_LIMIT = 1e14
+# Largest accepted a-priori estimate eps * lambda_max * |s| / |rhs| of the
+# relative round-trip error of a solve (the tightest round-trip tolerance
+# in use is 1e-8).
+ERROR_EST_LIMIT = 1e-8
 MEAN_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class _Factorization:
+    """What every solve against one system shares."""
+
+    basis: np.ndarray | None   # complement basis P of single modes
+    matrix: np.ndarray         # the solved matrix: Lambda, or P^H Lambda P
+    vals: np.ndarray           # its eigenvalues, ascending
+    cond: float
+    cho: tuple | None          # Cholesky factor; None when ill-conditioned
 
 
 @dataclass
 class HumSystem:
-    """The control operator in adjoint eigen-coordinates."""
+    """The control operator in adjoint eigen-coordinates.
+
+    The eigenvalues and the factorization used by ``solve_control`` are
+    computed once, on first use; ``matrix`` must not change after that.
+    """
 
     params: PhysicalParams
     N: int
@@ -38,15 +58,41 @@ class HumSystem:
     constraint: np.ndarray | None  # unit kernel direction for single modes
 
     def eigvals(self) -> np.ndarray:
-        return scipy.linalg.eigvalsh(self.matrix)
+        """Eigenvalues of ``matrix`` (read-only)."""
+        if self.constraint is None:
+            return self._factorization.vals
+        return self._full_eigvals
 
     def condition_number(self) -> float:
-        vals = self.eigvals()
-        if self.constraint is not None:
-            P = _complement_basis(self.constraint)
-            vals = scipy.linalg.eigvalsh(P.conj().T @ self.matrix @ P)
-        lo = float(vals[0])
-        return np.inf if lo <= 0 else float(vals[-1]) / lo
+        """Condition number of the operator solved: on the complement of
+        the structural kernel direction in single modes."""
+        return self._factorization.cond
+
+    @cached_property
+    def _full_eigvals(self) -> np.ndarray:
+        return _read_only(scipy.linalg.eigvalsh(self.matrix))
+
+    @cached_property
+    def _factorization(self) -> _Factorization:
+        if self.constraint is None:
+            basis, lam = None, self.matrix
+        else:
+            basis = _complement_basis(self.constraint)
+            lam = basis.conj().T @ self.matrix @ basis
+        vals = _read_only(scipy.linalg.eigvalsh(lam))
+        cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
+        cho = None
+        if cond <= COND_LIMIT:
+            try:
+                cho = scipy.linalg.cho_factor(lam)
+            except np.linalg.LinAlgError:
+                cond = np.inf
+        return _Factorization(basis, lam, vals, cond, cho)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -57,6 +103,8 @@ class ControlPlan:
     T: float
     adjoint_seed: np.ndarray   # seed coefficients xi over the adjoint labels
     labels: list
+    # a-priori estimate of the relative round-trip error of the solve
+    error_estimate: float | None = None
 
 
 def _adjoint_trace_amps(params: PhysicalParams, N: int, x0: float):
@@ -100,7 +148,7 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         raise ValueError("horizon must be nonzero")
     phi_amp, psi_amp, omega, labels = _adjoint_trace_amps(params, N, x0)
     t0, t1 = (0.0, T) if T > 0 else (T, 0.0)
-    base = exp_integral_matrix(omega[:, None] - omega[None, :], t0, t1)
+    base = exp_kernel(omega, -omega, t0, t1)
     lam = np.zeros_like(base)
     if mode in ("both", "f_only"):
         lam += np.outer(phi_amp, np.conj(phi_amp)) * base
@@ -119,14 +167,14 @@ def _complement_basis(kernel: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _refined_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _refined_solve(A: np.ndarray, cf, b: np.ndarray) -> np.ndarray:
     """Hermitian PD solve with mixed-precision iterative refinement.
 
-    The factorization is double precision; residuals are accumulated in
-    extended precision so the refinement keeps converging even when the
-    condition number approaches 1/eps (windows near the critical time).
+    The factorization ``cf`` of A is double precision; residuals are
+    accumulated in extended precision so the refinement keeps converging
+    even when the condition number approaches 1/eps (windows near the
+    critical time).
     """
-    cf = scipy.linalg.cho_factor(A)
     A_hi = A.astype(np.clongdouble)
     b_hi = b.astype(np.clongdouble)
     x = scipy.linalg.cho_solve(cf, b).astype(np.clongdouble)
@@ -174,7 +222,10 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
 
     Reduces to null control of the defect against the trace Gram.  Single
     control modes require matching conserved means and solve on the
-    orthogonal complement of the structural kernel direction.
+    orthogonal complement of the structural kernel direction.  Raises
+    IllConditioned when the solved operator's condition number exceeds
+    COND_LIMIT, or when the estimated relative round-trip error of the
+    solve, ``eps * lambda_max * |s| / |rhs|``, exceeds ERROR_EST_LIMIT.
     """
     scale = max(h_norm(params, initial), h_norm(params, target), 1.0)
     if mode == "g_only":
@@ -191,29 +242,31 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     defect = initial - evolve(params, target, -T)
     rhs = _duality_rhs(params, defect)
 
-    if system.constraint is None:
-        lam = system.matrix
-        cond = system.condition_number()
-        if cond > COND_LIMIT:
-            raise IllConditioned(
-                "control operator condition number exceeds 1e14; "
-                "increase T or reduce N",
-                condition_number=cond,
-                alpha_estimate=float(system.eigvals()[0]))
-        s = _refined_solve(lam, rhs)
-    else:
-        P = _complement_basis(system.constraint)
-        lam_r = P.conj().T @ system.matrix @ P
-        vals = scipy.linalg.eigvalsh(lam_r)
-        cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
-        if cond > COND_LIMIT:
-            raise IllConditioned(
-                "restricted control operator condition number exceeds 1e14",
-                condition_number=cond, alpha_estimate=float(vals[0]))
-        s = P @ _refined_solve(lam_r, P.conj().T @ rhs)
+    fac = system._factorization
+    what = "control operator" if fac.basis is None else \
+        "restricted control operator"
+    if fac.cho is None:
+        raise IllConditioned(
+            f"{what} condition number exceeds 1e14; increase T or reduce N",
+            condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
+    if fac.basis is not None:
+        rhs = fac.basis.conj().T @ rhs
+    s = _refined_solve(fac.matrix, fac.cho, rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    est = 0.0 if rhs_norm == 0 else float(
+        np.finfo(float).eps * fac.vals[-1] * np.linalg.norm(s) / rhs_norm)
+    if est > ERROR_EST_LIMIT:
+        raise IllConditioned(
+            f"{what} (condition number {fac.cond:.1e}) gives an estimated "
+            f"round-trip error {est:.1e} above {ERROR_EST_LIMIT:g} for this "
+            "data; increase T or steer between states the controls reach "
+            "at moderate cost",
+            condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
+    if fac.basis is not None:
+        s = fac.basis @ s
 
     f, g = _controls_from_seed(params, N, x0, s, mode)
-    return ControlPlan(f, g, x0, T, np.conj(s), system.labels)
+    return ControlPlan(f, g, x0, T, np.conj(s), system.labels, est)
 
 
 def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
@@ -258,11 +311,13 @@ def verify_roundtrip(params: PhysicalParams, N: int, plan: ControlPlan,
 def control_cost(plan: ControlPlan) -> float:
     """``integral_0^T |f|^2 + |g|^2 dt`` of the plan's controls."""
     t0, t1 = (0.0, plan.T) if plan.T > 0 else (plan.T, 0.0)
-    cost = 0.0
-    for sig in (plan.f, plan.g):
-        if sig:
-            cost += sig.l2_norm_sq(t0, t1)
-    return cost
+    signals = [sig for sig in (plan.f, plan.g) if sig]
+    if not signals:
+        return 0.0
+    amps, freqs, degrees = stack_terms(signals)
+    kernel_amps = exp_kernel(freqs, -freqs, t0, t1, degrees, degrees,
+                             left=amps)
+    return float(np.real(np.sum(kernel_amps * np.conj(amps))))
 
 
 def bilinear_pairing(params: PhysicalParams, state: ModalState,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasError
-from .signals import ExponentialSignal, exp_integral_matrix, exp_poly_integral
+from .signals import ExponentialSignal, exp_kernel, stack_terms
 from .spectral import PhysicalParams, spectrum_table
 
 REAL_FIELD_TOL = 1e-12
@@ -207,26 +207,6 @@ def adjoint_project_uv(params: PhysicalParams, N: int, uv: np.ndarray) -> ModalS
     return ModalState(N, coeffs)
 
 
-def _duhamel_increment(table, signal: ExponentialSignal, chan_weight: np.ndarray,
-                       x0: float, T: float) -> np.ndarray:
-    """Closed-form ``integral_0^T e^{i omega (T-s)} p(s) ds`` accumulated per
-    (branch, mode) for forcing component p from one control channel."""
-    phase = np.exp(-1j * table.ks * x0)
-    base = chan_weight * phase / (2 * np.pi * table.norm2)
-    acc = np.zeros(table.omega.shape, dtype=complex)
-    for amp, mu, deg in signal.terms:
-        delta = mu - table.omega
-        if deg == 0:
-            integ = exp_integral_matrix(delta, 0.0, T)
-        else:
-            integ = np.array([
-                [exp_poly_integral(dd, deg, 0.0, T) for dd in row]
-                for row in delta
-            ])
-        acc += amp * base * integ
-    return acc * np.exp(1j * table.omega * T)
-
-
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
                   f: ExponentialSignal | None, g: ExponentialSignal | None,
                   x0: float, T: float) -> ModalState:
@@ -234,16 +214,25 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
     ``g(t) delta_{x0}`` (v-equation) over [0, T], T of either sign.
 
     Per mode the forcing is decomposed onto the eigenbasis and each Duhamel
-    integral is evaluated in closed form, with a series fallback near
-    resonance.  With both controls absent this reduces to the free flow.
+    integral ``integral_0^T e^{i omega (T-s)} s^d e^{i mu s} ds`` is
+    evaluated in closed form, with a series fallback near resonance; both
+    controls share one kernel block per frequency.  With both controls
+    absent this reduces to the free flow.
     """
     if state0.N != N:
         raise ValueError("state truncation does not match N")
     table = spectrum_table(params, N)
     out = evolve(params, state0, T)
-    w = params.weight
-    if f:
-        out.coeffs += _duhamel_increment(table, f, table.z[:, :, 0], x0, T)
-    if g:
-        out.coeffs += _duhamel_increment(table, g, w * table.z[:, :, 1], x0, T)
+    channels = [(sig, weight) for sig, weight in
+                ((f, table.z[:, :, 0]), (g, params.weight * table.z[:, :, 1]))
+                if sig]
+    if not channels:
+        return out
+    amps, freqs, degrees = stack_terms([sig for sig, _ in channels])
+    integ = exp_kernel(freqs, -table.omega.ravel(), 0.0, T, degrees,
+                       left=amps).reshape(len(channels), *table.omega.shape)
+    base = (np.exp(-1j * table.ks * x0) / (2 * np.pi * table.norm2)
+            * np.exp(1j * table.omega * T))
+    for (_, weight), row in zip(channels, integ):
+        out.coeffs += weight * base * row
     return out

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import GramianSingular
 from .modal import ModalState
-from .signals import exp_poly_integral
+from .signals import exp_kernel
 from .spectral import PhysicalParams, critical_time, resonance_check, spectrum_table
 
 SINGULAR_REL_TOL = 1e-13
@@ -73,13 +73,8 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
     if resonance_check(params, N, 1e-9).violations:
         raise ValueError("truncated spectrum has resonant pairs")
     omega, B, scale = _input_matrix(params, N, x0)
-    delta = omega[:, None] - omega[None, :]
-    shift = -delta + 2j * omega_target
-    n = len(omega)
-    integ = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            integ[m, j] = exp_poly_integral(shift[m, j], 0, 0.0, Th)
+    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}
+    integ = exp_kernel(-omega + 2j * omega_target, omega, 0.0, Th)
     lam = (B @ B.conj().T) * integ
     lam = (lam + lam.conj().T) / 2
     vals = scipy.linalg.eigvalsh(lam)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ggkdv.cli import main
@@ -104,6 +105,35 @@ class TestErrors:
 
     def test_nonpositive_params_exit_4(self, tmp_path):
         assert run_cli(tmp_path, "spectrum", config={"a": -2.0}) == 4
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("observe", {"mode": "x"}),
+        ("control", {"mode": "x"}),
+        ("observe", {"N": -1}),
+        ("control", {"N": "abc"}),
+        ("spectrum", {"N": 2.5}),
+        ("observe", {"ns": [4, -2]}),
+        ("observe", {"window_length": -1}),
+        ("observe", {"window_length": "abc"}),
+        ("observe", {"window_lengths": [1.0, 0.0]}),
+    ])
+    def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
+        assert run_cli(tmp_path, command,
+                       config={"preset": "generic", **cfg}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_generic_single_control_exit_3(self, tmp_path, capsys):
+        # mean-matched generic data below the single-trace threshold: the
+        # solve could not reach the target to 1e-8, so no plan is written
+        N = 6
+        c = np.random.default_rng(5).standard_normal((2, 2 * (2 * N + 1)))
+        c[:, [N, 3 * N + 1]] = 0.0   # k=0 on both branches: zero means
+        cfg = {"preset": "generic", "N": N, "T": 1.0, "mode": "g",
+               "initial": c.T.tolist(), "target": "zero"}
+        assert run_cli(tmp_path, "control", config=cfg) == 3
+        assert "ill-conditioned" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
 
     def test_short_window_ill_conditioned_exit_3(self, tmp_path, capsys):
         cfg = {"preset": "resonant", "N": 16, "T": 0.5, "seed": 1,

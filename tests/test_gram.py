@@ -17,7 +17,7 @@ from ggkdv.gram import (
 )
 from ggkdv.gram import _trace_amplitudes
 from ggkdv.modal import ModalState, reconstruct
-from ggkdv.signals import ExponentialSignal, exp_integral_matrix
+from ggkdv.signals import ExponentialSignal, exp_poly_integral
 from ggkdv.spectral import PRESETS, critical_time, spectrum_table
 
 GENERIC = PRESETS["generic"]
@@ -203,8 +203,8 @@ class TestObservabilityConstants:
         N, x0 = 6, 0.0
         win = ObservationWindow(0.0, 1.0)
         u_amp, v_amp, omega, ew, labels = _trace_amplitudes(GENERIC, N, x0)
-        base = exp_integral_matrix(omega[:, None] - omega[None, :],
-                                   win.t0, win.t1)
+        base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
+                                 win.t0, win.t1)
         O = (np.outer(u_amp, np.conj(u_amp))
              + np.outer(v_amp, np.conj(v_amp))) * base
         O = (O + O.conj().T) / 2
@@ -228,8 +228,8 @@ class TestObservabilityConstants:
         z[1, :, :] = [2 * a * c, 1 - c - root]
         norm2 = z[:, :, 0] ** 2 + GENERIC.weight * z[:, :, 1] ** 2
         omega = table.omega.ravel()
-        base = exp_integral_matrix(omega[:, None] - omega[None, :],
-                                   win.t0, win.t1)
+        base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
+                                 win.t0, win.t1)
         u_amp, v_amp = z[:, :, 0].ravel(), z[:, :, 1].ravel()
         O = (np.outer(u_amp, u_amp) + np.outer(v_amp, v_amp)) * base
         O = (O + O.conj().T) / 2

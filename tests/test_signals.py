@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from ggkdv.signals import (
     ExponentialSignal,
-    exp_integral_matrix,
+    exp_kernel,
     exp_poly_integral,
 )
 
@@ -54,19 +54,21 @@ class TestExpPolyIntegral:
 
 
 class TestExpIntegralMatrix:
+    """The array form of ``exp_poly_integral`` over frequency matrices."""
+
     def test_matches_scalar(self):
         rng = np.random.default_rng(1)
         delta = rng.uniform(-30, 30, size=(4, 5))
         delta[0, 0] = 0.0
         delta[1, 2] = 1e-10
-        out = exp_integral_matrix(delta, 0.0, 2.0)
+        out = exp_poly_integral(delta, 0, 0.0, 2.0)
         for i in range(4):
             for j in range(5):
                 want = exp_poly_integral(delta[i, j], 0, 0.0, 2.0)
                 assert abs(out[i, j] - want) <= 1e-12
 
     def test_zero_gives_length(self):
-        out = exp_integral_matrix(np.zeros((2, 2)), 1.0, 4.0)
+        out = exp_poly_integral(np.zeros((2, 2)), 0, 1.0, 4.0)
         assert np.allclose(out, 3.0)
 
 
@@ -121,3 +123,55 @@ class TestExponentialSignal:
         n = sig.l2_norm_sq(0.0, 1.0)
         assert 0 < n < 1e-3
         assert ExponentialSignal.zero().l2_norm_sq(0.0, 1.0) == 0.0
+
+
+class TestMpmathOracle:
+    """The array kernel against 40-digit mpmath quadrature, on both sides
+    of the series switch at |i z| * t_scale = 0.5."""
+
+    SCALES = (0.0, 1e-12, 0.49, 0.51, 50.0)     # |i z| * t_scale
+    DIRECTIONS = (1.0, np.exp(0.7j))             # real and complex z
+    INTERVALS = ((0.0, 1.0), (0.3, 2.0), (-1.5, 0.7))
+
+    @pytest.mark.parametrize("t0, t1", INTERVALS)
+    def test_relative_error(self, t0, t1):
+        mp = pytest.importorskip("mpmath")
+        t_scale = max(abs(t0), abs(t1), 1.0)
+        z = np.array([[s * d / t_scale for s in self.SCALES]
+                      for d in self.DIRECTIONS])
+        m = np.arange(3)
+        want = np.empty(z.shape + (3,), dtype=complex)
+        with mp.workdps(40):
+            nodes = mp.linspace(mp.mpf(t0), mp.mpf(t1), 9)
+            for idx in np.ndindex(z.shape):
+                zz = mp.mpc(z[idx])
+                for k in m:
+                    want[idx + (k,)] = complex(mp.quad(
+                        lambda t: t**k * mp.expj(zz * t), nodes))
+        for a, b, sign in ((t0, t1, 1), (t1, t0, -1)):
+            got = exp_poly_integral(z[:, :, None], m, a, b)
+            assert got.shape == want.shape
+            rel = np.abs(got - sign * want) / np.abs(want)
+            assert np.max(rel) <= 1e-12
+            for idx in np.ndindex(want.shape):
+                scalar = exp_poly_integral(complex(z[idx[:2]]), int(idx[2]),
+                                           a, b)
+                assert isinstance(scalar, complex)
+                assert abs(scalar - sign * want[idx]) <= 1e-12 * abs(want[idx])
+
+
+class TestExpKernel:
+    def test_matches_elementwise_and_contracts(self):
+        # more rows than one block, mixed degrees, complex shifts
+        rng = np.random.default_rng(4)
+        zr = rng.uniform(-20, 20, 37) + 0.3j
+        zc = rng.uniform(-20, 20, 11)
+        zc[3] = -zr[5].real
+        mr = rng.integers(0, 2, 37)
+        mc = rng.integers(0, 2, 11)
+        K = exp_kernel(zr, zc, 0.2, 1.7, mr, mc)
+        want = exp_poly_integral(zr[:, None] + zc, mr[:, None] + mc, 0.2, 1.7)
+        assert np.max(np.abs(K - want)) <= 1e-13 * np.max(np.abs(want))
+        left = rng.standard_normal((2, 37)) + 1j * rng.standard_normal((2, 37))
+        got = exp_kernel(zr, zc, 0.2, 1.7, mr, mc, left=left)
+        assert np.max(np.abs(got - left @ want)) <= 1e-12 * np.max(np.abs(got))
