@@ -215,6 +215,8 @@ def cmd_control(cfg, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
     T = _float("T", cfg.get("T", 1.0))
+    if T == 0:
+        raise ConfigError("T must be nonzero")
     mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     initial = _state_from(cfg.get("initial", "random"), N, rng)
@@ -243,7 +245,12 @@ def cmd_stabilize(cfg, out: Path, quiet: bool) -> int:
     T_sim = _float("T_sim", cfg.get("T_sim", 20.0), positive=True)
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     state0 = _state_from(cfg.get("initial", "random"), N, rng)
-    gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
+    try:
+        gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
+    except np.linalg.LinAlgError:  # a ValueError, but not a config error
+        raise
+    except ValueError as exc:  # the rate, horizon and resonance checks
+        raise ConfigError(str(exc)) from exc
     report = stabilize.closed_loop_simulate(params, N, gains, state0, T_sim)
     _write_csv(out / "decay.csv", ["t", "energy", "log_energy"],
                [(t, e, np.log(max(e, 1e-300)))

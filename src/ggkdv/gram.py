@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EpsilonUnderflow
 from .signals import ExponentialSignal, exp_kernel, stack_terms
@@ -108,7 +107,7 @@ class GramMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
 
     def eigvals(self) -> np.ndarray:
-        return scipy.linalg.eigvalsh(self.entries)
+        return np.linalg.eigvalsh(self.entries)
 
 
 def exp_gram(basis: list[ExponentialSignal], weights, window: ObservationWindow,
@@ -164,33 +163,38 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     alpha is the smallest eigenvalue (floored at zero: the form is PSD and
     tiny negatives are roundoff), beta the largest; kernel_dim counts
     eigenvalues at or below the relative kernel threshold.  mode selects
-    which traces are observed.
+    which traces are observed.  The diagonal energy form is folded in as
+    ``C = S O S`` with ``S = diag(ew^-1/2)``, so the generalized problem is
+    the ordinary Hermitian one of C and its eigenvectors scale back by S.
     """
     if mode not in ("both", "u_only", "v_only"):
         raise ValueError(f"unknown mode {mode!r}")
     u_amp, v_amp, omega, ew, labels = _trace_amplitudes(params, N, x0)
-    base = exp_kernel(omega, -omega, window.t0, window.t1)
-    O = np.zeros_like(base)
-    if mode in ("both", "u_only"):
-        O += np.outer(u_amp, np.conj(u_amp)) * base
-    if mode in ("both", "v_only"):
-        O += np.outer(v_amp, np.conj(v_amp)) * base
-    O = (O + O.conj().T) / 2
-    vals, vecs = scipy.linalg.eigh(O, np.diag(ew))
+    scale = 1.0 / np.sqrt(ew)
+    scaled = _observed(u_amp, v_amp, mode) * scale
+    C = exp_kernel(omega, -omega, window.t0, window.t1)
+    C *= sum(np.outer(a, np.conj(a)) for a in scaled)
+    C = (C + C.conj().T) / 2
+    vals = np.linalg.eigvalsh(C)
     beta = float(vals[-1])
-    thresh = KERNEL_REL_TOL * beta
-    kernel = vals <= thresh
-    kernel_dim = int(np.sum(kernel))
+    kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    kernel_vecs = vecs[:, kernel]
-    refined = _structural_kernel(u_amp, v_amp, omega, mode)
-    if refined.shape[1] == kernel_dim:
-        # the eigh vectors of a near-degenerate tiny cluster mix with the
-        # adjacent almost-unobservable directions; the amplitude-map null
-        # space is well conditioned and spans the same exact kernel
-        kernel_vecs = refined
+    kernel_vecs = _structural_kernel(u_amp, v_amp, omega, mode)
+    if kernel_vecs.shape[1] != kernel_dim:
+        # roundoff put eigenvalues under the threshold that the structure
+        # does not explain; report their eigenvectors.  When the counts
+        # agree the structural basis wins: eigenvectors of a near-degenerate
+        # tiny cluster mix with adjacent almost-unobservable directions.
+        vecs = np.linalg.eigh(C)[1]
+        kernel_vecs = scale[:, None] * vecs[:, :kernel_dim]
     return ObservabilityReport(alpha, beta, kernel_dim, vals,
                                kernel_vecs, labels)
+
+
+def _observed(u_amp, v_amp, mode) -> np.ndarray:
+    """The observed channels' amplitude rows, shape (channels, n)."""
+    return np.array([amp for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
+                     if mode in ("both", only)])
 
 
 def _structural_kernel(u_amp, v_amp, omega, mode) -> np.ndarray:
@@ -200,26 +204,40 @@ def _structural_kernel(u_amp, v_amp, omega, mode) -> np.ndarray:
     identically, i.e. the summed amplitude over each group of exactly
     coinciding frequencies is zero for every observed channel (complex
     exponentials with distinct frequencies are independent on any
-    window)."""
+    window).  The amplitude map is block diagonal over the groups, so its
+    null space is found group by group: a singleton is kernel iff its
+    amplitudes vanish, a larger group takes a small SVD of its block.
+    Singular values count as zero under the rank rule of
+    ``scipy.linalg.null_space`` applied to the whole map: below
+    ``max(rows, n) * eps * s_max``, s_max the largest over all groups.
+    """
+    amps = np.conj(_observed(u_amp, v_amp, mode))
+    n = len(omega)
     tol = 1e-9 * (1.0 + np.max(np.abs(omega)))
     order = np.argsort(omega)
-    groups = []
-    for idx in order:
-        if groups and abs(omega[idx] - omega[groups[-1][0]]) <= tol:
-            groups[-1].append(idx)
+    starts = np.flatnonzero(np.r_[True, np.diff(omega[order]) > tol])
+    sizes = np.diff(np.r_[starts, n])
+    blocks = []  # (members (groups, m), singular values, right vectors)
+    for m in np.unique(sizes):
+        members = order[starts[sizes == m][:, None] + np.arange(m)]
+        block = amps[:, members].transpose(1, 0, 2)  # (groups, channels, m)
+        if m == 1:
+            sv = np.linalg.norm(block, axis=1)
+            vh = np.ones((len(members), 1, 1))
         else:
-            groups.append([idx])
-    rows = []
-    for g in groups:
-        if mode in ("both", "u_only"):
-            row = np.zeros(len(omega), dtype=complex)
-            row[g] = np.conj(u_amp[g])
-            rows.append(row)
-        if mode in ("both", "v_only"):
-            row = np.zeros(len(omega), dtype=complex)
-            row[g] = np.conj(v_amp[g])
-            rows.append(row)
-    return scipy.linalg.null_space(np.array(rows))
+            _, sv, vh = np.linalg.svd(block)
+        blocks.append((members, sv, vh))
+    s_max = max(float(np.max(sv, initial=0.0)) for _, sv, _ in blocks)
+    rows = len(amps) * len(starts)
+    zero = max(rows, n) * np.finfo(float).eps * s_max
+    columns = []
+    for members, sv, vh in blocks:
+        rank = np.sum(sv > zero, axis=1)
+        g, j = np.nonzero(np.arange(members.shape[1]) >= rank[:, None])
+        col = np.zeros((n, len(g)), dtype=complex)
+        col[members[g], np.arange(len(g))[:, None]] = vh[g, j].conj()
+        columns.append(col)
+    return np.hstack(columns)
 
 
 def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]:
@@ -230,7 +248,7 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
         raise ValueError("frequencies must be distinct")
     G = exp_kernel(freqs, -freqs, window.t0, window.t1)
     G = (G + G.conj().T) / 2
-    vals = scipy.linalg.eigvalsh(G)
+    vals = np.linalg.eigvalsh(G)
     return float(vals[-1]), float(vals[0])
 
 

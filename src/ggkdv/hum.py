@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstraintViolation, IllConditioned
 from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
@@ -70,10 +69,12 @@ class HumSystem:
 
     @cached_property
     def _full_eigvals(self) -> np.ndarray:
+        import scipy.linalg
         return _read_only(scipy.linalg.eigvalsh(self.matrix))
 
     @cached_property
     def _factorization(self) -> _Factorization:
+        import scipy.linalg
         if self.constraint is None:
             basis, lam = None, self.matrix
         else:
@@ -161,6 +162,7 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
 
 def _complement_basis(kernel: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of a unit vector."""
+    import scipy.linalg
     n = len(kernel)
     Q = scipy.linalg.null_space(kernel[None, :].conj())
     assert Q.shape == (n, n - 1)
@@ -175,6 +177,7 @@ def _refined_solve(A: np.ndarray, cf, b: np.ndarray) -> np.ndarray:
     even when the condition number approaches 1/eps (windows near the
     critical time).
     """
+    import scipy.linalg
     A_hi = A.astype(np.clongdouble)
     b_hi = b.astype(np.clongdouble)
     x = scipy.linalg.cho_solve(cf, b).astype(np.clongdouble)

@@ -85,10 +85,7 @@ def _fourier_coeffs(samples: np.ndarray, N: int) -> np.ndarray:
     """Coefficients hat{w}_k, |k| <= N, of w(x) = sum hat{w}_k e^{ikx}."""
     M = len(samples)
     spec = np.fft.fft(samples) / M
-    out = np.empty(2 * N + 1, dtype=complex)
-    for k in range(-N, N + 1):
-        out[k + N] = spec[k % M]
-    return out
+    return spec[np.arange(-N, N + 1) % M]
 
 
 def project(params: PhysicalParams, N: int, fields: GridFunction) -> ModalState:
@@ -114,13 +111,9 @@ def reconstruct(params: PhysicalParams, state: ModalState, M: int) -> GridFuncti
     N = state.N
     if M < 2 * N + 2:
         raise AliasError(f"need M >= {2 * N + 2} samples for truncation N={N}")
-    uv = modal_uv(params, state)
-    spec_u = np.zeros(M, dtype=complex)
-    spec_v = np.zeros(M, dtype=complex)
-    for k in range(-N, N + 1):
-        spec_u[k % M] = uv[0, k + N]
-        spec_v[k % M] = uv[1, k + N]
-    return GridFunction(np.fft.ifft(spec_u) * M, np.fft.ifft(spec_v) * M)
+    spec = np.zeros((2, M), dtype=complex)
+    spec[:, np.arange(-N, N + 1) % M] = modal_uv(params, state)
+    return GridFunction(np.fft.ifft(spec[0]) * M, np.fft.ifft(spec[1]) * M)
 
 
 def evolve(params: PhysicalParams, state: ModalState, t: float) -> ModalState:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GramianSingular
 from .modal import ModalState
@@ -66,6 +65,7 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
     Requires a horizon beyond the critical time and a resonance-free
     truncated spectrum; raises GramianSingular otherwise.
     """
+    import scipy.linalg
     if omega_target < 0:
         raise ValueError("omega_target must be >= 0")
     if Th <= critical_time(params):
@@ -119,6 +119,7 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
     """Energy decay of the closed loop, integrated by matrix exponential
     over uniform steps; the decay rate is fitted on the tail half of the
     horizon (rate of the state norm, i.e. half the log-energy slope)."""
+    import scipy.linalg
     if T_sim <= 0:
         raise ValueError("T_sim must be positive")
     table = spectrum_table(params, N)

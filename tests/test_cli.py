@@ -123,6 +123,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, cfg", [
+        # default parameters are resonant: Th=2 is below T0 = 4 pi
+        ("stabilize", {"N": 4}),
+        ("stabilize", {"preset": "generic", "omega_target": -0.5}),
+        # the slow branch vanishes at |k| = 1 and meets the k=0 pair
+        ("stabilize", {"a": 0.5, "c": 1.0, "d": 0.5, "r": 0.75, "N": 3}),
+        ("control", {"preset": "generic", "T": 0}),
+    ], ids=["stabilize-below-T0", "stabilize-negative-rate",
+            "stabilize-resonant-pairs", "control-zero-horizon"])
+    def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
+        assert run_cli(tmp_path, command, config=cfg) == 4
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
     def test_generic_single_control_exit_3(self, tmp_path, capsys):
         # mean-matched generic data below the single-trace threshold: the
         # solve could not reach the target to 1e-8, so no plan is written

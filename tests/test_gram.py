@@ -15,10 +15,10 @@ from ggkdv.gram import (
     ingham_report,
     observability_constants,
 )
-from ggkdv.gram import _trace_amplitudes
+from ggkdv.gram import _structural_kernel, _trace_amplitudes
 from ggkdv.modal import ModalState, reconstruct
 from ggkdv.signals import ExponentialSignal, exp_poly_integral
-from ggkdv.spectral import PRESETS, critical_time, spectrum_table
+from ggkdv.spectral import PRESETS, PhysicalParams, critical_time, spectrum_table
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
@@ -242,6 +242,101 @@ class TestObservabilityConstants:
         with pytest.raises(ValueError):
             observability_constants(GENERIC, 4, 0.0,
                                     ObservationWindow(0.0, 1.0), "w_only")
+
+
+def dense_amplitude_rows(u_amp, v_amp, omega, mode):
+    """The amplitude map as one dense matrix, one row per (coincidence
+    group, observed channel), grouped by a scalar loop."""
+    tol = 1e-9 * (1.0 + np.max(np.abs(omega)))
+    groups = []
+    for idx in np.argsort(omega):
+        if groups and abs(omega[idx] - omega[groups[-1][0]]) <= tol:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    rows = []
+    for g in groups:
+        for amp, only in ((u_amp, "u_only"), (v_amp, "v_only")):
+            if mode in ("both", only):
+                row = np.zeros(len(omega), dtype=complex)
+                row[g] = np.conj(amp[g])
+                rows.append(row)
+    return np.array(rows)
+
+
+def projector(Q):
+    return Q @ Q.conj().T
+
+
+T0_RES = critical_time(RESONANT)
+# r = (1 - ad) k^2 zeroes the slow branch at |k| = 1: four coinciding zeros
+FOUR_ZEROS = PhysicalParams(0.5, 1.0, 0.5, 0.75)
+
+
+class TestClosedFormsAgainstScipy:
+    """The group-by-group structural kernel and the folded eigenproblem
+    against a dense null space and the generalized eigensolver."""
+
+    CASES = [(params, length, mode, N)
+             for params, lengths in ((GENERIC, (0.5, 1.0)),
+                                     (RESONANT, (0.5 * T0_RES, 1.5 * T0_RES)))
+             for length in lengths
+             for mode in ("both", "u_only", "v_only")
+             for N in (6, 16, 32)]
+
+    def check(self, params, N, x0, window, mode):
+        """Returns True when the eigenvector fallback produced the kernel."""
+        u_amp, v_amp, omega, ew, _ = _trace_amplitudes(params, N, x0)
+        structural = _structural_kernel(u_amp, v_amp, omega, mode)
+        dense = scipy.linalg.null_space(
+            dense_amplitude_rows(u_amp, v_amp, omega, mode))
+        assert structural.shape == dense.shape
+        np.testing.assert_allclose(structural.conj().T @ structural,
+                                   np.eye(dense.shape[1]), atol=1e-13)
+        assert np.max(np.abs(projector(structural) - projector(dense))) <= 1e-12
+
+        rep = observability_constants(params, N, x0, window, mode)
+        base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
+                                 window.t0, window.t1)
+        O = sum(np.outer(amp, np.conj(amp)) * base
+                for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
+                if mode in ("both", only))
+        O = (O + O.conj().T) / 2
+        ref = scipy.linalg.eigh(O, np.diag(ew), eigvals_only=True)
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-13 * rep.beta
+        assert rep.kernel_dim == int(np.sum(ref <= 1e-14 * ref[-1]))
+        vecs = rep.kernel_vectors
+        assert vecs.shape == (len(omega), rep.kernel_dim)
+        if structural.shape[1] == rep.kernel_dim:
+            np.testing.assert_array_equal(vecs, structural)
+            return False
+        # fallback: energy-orthonormal directions the form cannot see
+        np.testing.assert_allclose(vecs.conj().T @ (ew[:, None] * vecs),
+                                   np.eye(rep.kernel_dim), atol=1e-12)
+        seen = np.linalg.eigvalsh(vecs.conj().T @ O @ vecs)
+        assert np.max(np.abs(seen)) <= 2e-14 * rep.beta
+        return True
+
+    def test_presets_modes_windows(self):
+        rng = np.random.default_rng(2024)
+        fallbacks = []
+        for params, length, mode, N in self.CASES:
+            x0 = float(rng.uniform(0, 2 * np.pi))
+            if self.check(params, N, x0, ObservationWindow(0.0, length), mode):
+                fallbacks.append((length, mode, N))
+        # roundoff kernels appear in the short windows only, and the
+        # resonant one below the critical time exercises the fallback
+        lengths = {length for length, _, _ in fallbacks}
+        assert 0.5 * T0_RES in lengths
+        assert not lengths & {1.0, 1.5 * T0_RES}
+
+    @pytest.mark.parametrize("mode, dim", [("both", 2), ("u_only", 3),
+                                           ("v_only", 3)])
+    def test_four_member_group(self, mode, dim):
+        window = ObservationWindow(0.0, 5.0)
+        self.check(FOUR_ZEROS, 3, 0.3, window, mode)
+        rep = observability_constants(FOUR_ZEROS, 3, 0.3, window, mode)
+        assert rep.kernel_dim == dim
 
 
 class TestIngham:
