@@ -3,20 +3,21 @@ feedback stabilization for a linearized coupled-KdV system on the circle."""
 
 from .errors import (AliasError, ConstraintViolation, EpsilonUnderflow,
                      GramianSingular, IllConditioned)
-from .gram import (Chain, GramMatrix, ObservationWindow, cluster_chains,
+from .gram import (Chain, ObservationWindow, cluster_chains,
                    divided_diff_basis, divided_difference_constants, exp_gram,
-                   ingham_report, observability_constants)
+                   ingham_report, observability_constants, trace_gram)
 from .hum import (ControlPlan, HumSystem, assemble_lambda, bilinear_pairing,
                   control_cost, duality_residual, reachable_defect,
                   solve_control, verify_roundtrip)
-from .modal import (GridFunction, ModalState, adjoint_evolve, adjoint_trace,
-                    energy, evolve, forced_evolve, h_norm, project,
-                    reconstruct, trace, u_mean, v_mean)
+from .modal import (GridFunction, ModalState, adjoint_trace, energy, evolve,
+                    forced_evolve, h_norm, project, reconstruct, trace,
+                    u_mean, v_mean)
 from .signals import ExponentialSignal, exp_poly_integral
 from .spectral import (PRESETS, Branch, EigenPair, GapReport, PhysicalParams,
                        SpectrumTable, adjoint_eigenvectors, critical_time,
                        eigenfrequencies, eigenvectors, gap_report,
-                       resonance_check, spectrum_table, symbol_matrix)
+                       resonance_check, spectrum_table, symbol_matrix,
+                       trace_amplitudes)
 from .stabilize import (DecayReport, FeedbackGains, closed_loop_simulate,
                         feedback_gains, spectral_abscissa, zero_gains)
 

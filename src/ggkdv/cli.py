@@ -114,8 +114,7 @@ def _signal_terms(sig) -> list[dict]:
              "freq": float(f), "degree": int(d)} for a, f, d in sig.terms]
 
 
-def cmd_spectrum(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_spectrum(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 8))
     table = spectral.spectrum_table(params, N)
     rows = []
@@ -131,8 +130,7 @@ def cmd_spectrum(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_gaps(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_gaps(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 200), minimum=2)
     report = spectral.gap_report(params, N)
     rows = []
@@ -153,8 +151,7 @@ def cmd_gaps(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_resonance(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_resonance(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 12))
     tol = _float("tol", cfg.get("tol", 1e-9), positive=True)
     report = spectral.resonance_check(params, N, tol)
@@ -163,13 +160,11 @@ def cmd_resonance(cfg, out: Path, quiet: bool) -> int:
     _write_csv(out / "resonance.csv",
                ["k1", "branch1", "k2", "branch2"], rows)
     if not quiet:
-        print(f"resonance pairs within {tol}: {len(rows)}; "
-              f"k0_degenerate={report.k0_degenerate}")
+        print(f"resonance pairs within {tol}: {len(rows)}")
     return 0
 
 
-def cmd_observe(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
     ns = [_int("ns", N) for N in _list(cfg, "ns")] \
         or [_int("N", cfg.get("N", 8))]
     mode = _mode(cfg, {"both": "both", "u": "u_only", "v": "v_only"})
@@ -191,7 +186,7 @@ def cmd_observe(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_ingham(cfg, out: Path, quiet: bool) -> int:
+def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
     if "frequencies" in cfg:
         freqs = [float(f) for f in cfg["frequencies"]]
     else:
@@ -210,8 +205,7 @@ def cmd_ingham(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_control(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
     T = _float("T", cfg.get("T", 1.0))
@@ -236,8 +230,7 @@ def cmd_control(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_stabilize(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
     omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
@@ -264,8 +257,7 @@ def cmd_stabilize(cfg, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_duality(cfg, out: Path, quiet: bool) -> int:
-    params = _params_from(cfg)
+def cmd_duality(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
     T = _float("T", cfg.get("T", 1.0))
@@ -333,7 +325,7 @@ def main(argv=None) -> int:
             print(f"warning: resonant parameters (a*d=1); critical time "
                   f"T0={spectral.critical_time(params):.6g}", file=sys.stderr)
 
-        return _DISPATCH[args.command](cfg, out, args.quiet)
+        return _DISPATCH[args.command](cfg, params, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import ExponentialSignal, exp_kernel, stack_terms
-from .spectral import Branch, PhysicalParams, spectrum_table
+from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -97,51 +97,32 @@ def divided_diff_basis(chain: Chain) -> list[ExponentialSignal]:
     ]
 
 
-@dataclass
-class GramMatrix:
-    labels: list
-    entries: np.ndarray
-    window: ObservationWindow
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-
-    def eigvals(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-
-def exp_gram(basis: list[ExponentialSignal], weights, window: ObservationWindow,
-             labels=None) -> GramMatrix:
-    """Gram matrix of vector-valued signals b_m(t) W_m over the window.
-
-    Entry (m, n) is ``<W_m, W_n> integral_I b_m conj(b_n) dt`` with all
-    integrals in closed form; weights default to scalar 1.
-    """
+def exp_gram(basis: list[ExponentialSignal],
+             window: ObservationWindow) -> np.ndarray:
+    """Hermitian Gram matrix ``integral_I b_m conj(b_n) dt`` of the signals
+    over the window, all integrals in closed form."""
     if not basis:
         raise ValueError("basis must be nonempty")
     amps, freqs, degrees = stack_terms(basis)
     G = np.einsum("mj,nj->mn", exp_kernel(freqs, -freqs, window.t0,
                                           window.t1, degrees, degrees,
                                           left=amps), amps.conj())
-    if weights is not None:
-        W = np.array([np.ravel(w) for w in weights], dtype=complex)
-        G *= W @ W.conj().T
     # symmetrize away last-bit asymmetry
-    G = (G + G.conj().T) / 2
-    return GramMatrix(labels or list(range(len(basis))), G, window)
+    return (G + G.conj().T) / 2
 
 
-def _trace_amplitudes(params: PhysicalParams, N: int, x0: float):
-    """Per-coefficient trace amplitudes for the u and v channels, plus the
-    frequency and energy-weight vectors, all flattened over (branch, k)."""
-    table = spectrum_table(params, N)
-    phase = np.exp(1j * table.ks * x0)
-    u_amp = (table.z[:, :, 0] * phase).ravel()
-    v_amp = (table.z[:, :, 1] * phase).ravel()
-    omega = table.omega.ravel()
-    ew = (2 * np.pi * table.norm2).ravel()
-    labels = [(int(k), b) for b in (Branch.PLUS, Branch.MINUS) for k in table.ks]
-    return u_amp, v_amp, omega, ew, labels
+def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
+    """Hermitian Gram of multi-channel exponential traces:
+
+        G[i, j] = sum_c amps[c, i] conj(amps[c, j])
+                  * integral_{t0}^{t1} e^{i (omega_i - omega_j + shift) t} dt.
+
+    ``amps`` has one row per channel; an imaginary ``shift`` 2iw applies the
+    weight e^{-2wt}.  The result is symmetrized to Hermitian.
+    """
+    G = exp_kernel(omega + shift, -omega, t0, t1)
+    G *= sum(np.outer(a, np.conj(a)) for a in amps)
+    return (G + G.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -151,7 +132,7 @@ class ObservabilityReport:
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
     kernel_vectors: np.ndarray = field(repr=False)
-    labels: list = field(repr=False)
+    labels: tuple = field(repr=False)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -164,17 +145,18 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     tiny negatives are roundoff), beta the largest; kernel_dim counts
     eigenvalues at or below the relative kernel threshold.  mode selects
     which traces are observed.  The diagonal energy form is folded in as
-    ``C = S O S`` with ``S = diag(ew^-1/2)``, so the generalized problem is
-    the ordinary Hermitian one of C and its eigenvectors scale back by S.
+    ``C = S O S`` with ``S = diag(2 pi ||Z||_w^2)^-1/2``, so the
+    generalized problem is the ordinary Hermitian one of C and its
+    eigenvectors scale back by S.
     """
     if mode not in ("both", "u_only", "v_only"):
         raise ValueError(f"unknown mode {mode!r}")
-    u_amp, v_amp, omega, ew, labels = _trace_amplitudes(params, N, x0)
-    scale = 1.0 / np.sqrt(ew)
-    scaled = _observed(u_amp, v_amp, mode) * scale
-    C = exp_kernel(omega, -omega, window.t0, window.t1)
-    C *= sum(np.outer(a, np.conj(a)) for a in scaled)
-    C = (C + C.conj().T) / 2
+    table = spectrum_table(params, N)
+    u_amp, v_amp = trace_amplitudes(params, N, x0)
+    omega = table.omega.ravel()
+    scale = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
+    C = trace_gram(_observed(u_amp, v_amp, mode) * scale, omega,
+                   window.t0, window.t1)
     vals = np.linalg.eigvalsh(C)
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
@@ -188,7 +170,7 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
         vecs = np.linalg.eigh(C)[1]
         kernel_vecs = scale[:, None] * vecs[:, :kernel_dim]
     return ObservabilityReport(alpha, beta, kernel_dim, vals,
-                               kernel_vecs, labels)
+                               kernel_vecs, table.labels)
 
 
 def _observed(u_amp, v_amp, mode) -> np.ndarray:
@@ -246,8 +228,7 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     freqs = np.asarray(sorted(frequencies), dtype=float)
     if len(np.unique(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
-    G = exp_kernel(freqs, -freqs, window.t0, window.t1)
-    G = (G + G.conj().T) / 2
+    G = trace_gram(np.ones((1, len(freqs))), freqs, window.t0, window.t1)
     vals = np.linalg.eigvalsh(G)
     return float(vals[-1]), float(vals[0])
 
@@ -267,9 +248,7 @@ def divided_difference_constants(params: PhysicalParams, N: int,
     coordinates: extreme eigenvalues of the Gram of the Newton basis built
     over the clustered chains."""
     table = spectrum_table(params, N)
-    entries = [((int(k), b), float(table.omega[b, k + N]))
-               for b in (Branch.PLUS, Branch.MINUS)
-               for k in table.ks]
+    entries = zip(table.labels, table.omega.ravel().tolist())
     # the structural k=0 duplicate is one family element, not a cluster
     seen = set()
     unique = []
@@ -282,6 +261,5 @@ def divided_difference_constants(params: PhysicalParams, N: int,
         epsilon = default_chain_epsilon(params, N)
     chains, eps = cluster_chains(unique, epsilon)
     basis = [sig for ch in chains for sig in divided_diff_basis(ch)]
-    gm = exp_gram(basis, None, window)
-    vals = gm.eigvals()
+    vals = np.linalg.eigvalsh(exp_gram(basis, window))
     return float(vals[0]), float(vals[-1]), eps

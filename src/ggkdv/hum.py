@@ -15,10 +15,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditioned
+from .gram import trace_gram
 from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
                     h_norm, modal_uv, u_mean, v_mean)
 from .signals import ExponentialSignal, exp_kernel, stack_terms
-from .spectral import Branch, PhysicalParams, spectrum_table
+from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 COND_LIMIT = 1e14
 # Largest accepted a-priori estimate eps * lambda_max * |s| / |rhs| of the
@@ -26,6 +27,8 @@ COND_LIMIT = 1e14
 # in use is 1e-8).
 ERROR_EST_LIMIT = 1e-8
 MEAN_TOL = 1e-10
+# observed adjoint trace channels (phi = 0, psi = 1) per control mode
+_CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class HumSystem:
     x0: float
     T: float
     mode: str                  # both | f_only | g_only
-    labels: list
+    labels: tuple
     matrix: np.ndarray         # Hermitian PSD
     constraint: np.ndarray | None  # unit kernel direction for single modes
 
@@ -103,20 +106,9 @@ class ControlPlan:
     x0: float
     T: float
     adjoint_seed: np.ndarray   # seed coefficients xi over the adjoint labels
-    labels: list
+    labels: tuple
     # a-priori estimate of the relative round-trip error of the solve
     error_estimate: float | None = None
-
-
-def _adjoint_trace_amps(params: PhysicalParams, N: int, x0: float):
-    """Flattened adjoint trace amplitudes per (branch, k) seed direction."""
-    table = spectrum_table(params, N)
-    phase = np.exp(1j * table.ks * x0)
-    phi_amp = (table.zt[:, :, 0] * phase).ravel()
-    psi_amp = (table.zt[:, :, 1] * phase).ravel()
-    omega = table.omega.ravel()
-    labels = [(int(k), b) for b in (Branch.PLUS, Branch.MINUS) for k in table.ks]
-    return phi_amp, psi_amp, omega, labels
 
 
 def _kernel_direction(N: int, mode: str) -> np.ndarray | None:
@@ -143,20 +135,15 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     observed adjoint traces; in single-control modes only the matching
     trace contributes and the structural k=0 kernel direction is recorded.
     """
-    if mode not in ("both", "f_only", "g_only"):
+    if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
     if T == 0:
         raise ValueError("horizon must be nonzero")
-    phi_amp, psi_amp, omega, labels = _adjoint_trace_amps(params, N, x0)
+    table = spectrum_table(params, N)
+    amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
     t0, t1 = (0.0, T) if T > 0 else (T, 0.0)
-    base = exp_kernel(omega, -omega, t0, t1)
-    lam = np.zeros_like(base)
-    if mode in ("both", "f_only"):
-        lam += np.outer(phi_amp, np.conj(phi_amp)) * base
-    if mode in ("both", "g_only"):
-        lam += np.outer(psi_amp, np.conj(psi_amp)) * base
-    lam = (lam + lam.conj().T) / 2
-    return HumSystem(params, N, x0, T, mode, labels, lam,
+    lam = trace_gram(amps, table.omega.ravel(), t0, t1)
+    return HumSystem(params, N, x0, T, mode, table.labels, lam,
                      _kernel_direction(N, mode))
 
 
@@ -189,21 +176,6 @@ def _refined_solve(A: np.ndarray, cf, b: np.ndarray) -> np.ndarray:
                 x.astype(complex)):
             break
     return x.astype(complex)
-
-
-def _controls_from_seed(params: PhysicalParams, N: int, x0: float,
-                        s: np.ndarray, mode: str):
-    """Control signals f = -conj(phi(., x0)), g = -conj(psi(., x0)) for the
-    adjoint solution with seed coefficients conj(s)."""
-    phi_amp, psi_amp, omega, _ = _adjoint_trace_amps(params, N, x0)
-    f = g = None
-    if mode in ("both", "f_only"):
-        f = ExponentialSignal.from_terms(
-            (-s[m] * np.conj(phi_amp[m]), -omega[m], 0) for m in range(len(s)))
-    if mode in ("both", "g_only"):
-        g = ExponentialSignal.from_terms(
-            (-s[m] * np.conj(psi_amp[m]), -omega[m], 0) for m in range(len(s)))
-    return f, g
 
 
 def _duality_rhs(params: PhysicalParams, defect: ModalState) -> np.ndarray:
@@ -268,8 +240,13 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     if fac.basis is not None:
         s = fac.basis @ s
 
-    f, g = _controls_from_seed(params, N, x0, s, mode)
-    return ControlPlan(f, g, x0, T, np.conj(s), system.labels, est)
+    # f = -conj(phi(., x0)), g = -conj(psi(., x0)) of the adjoint solution
+    # seeded with conj(s)
+    seed = np.conj(s)
+    phi, psi = adjoint_trace(params, ModalState(N, seed.reshape(2, -1)), x0)
+    f = phi.conjugate().scaled(-1) if mode != "g_only" else None
+    g = psi.conjugate().scaled(-1) if mode != "f_only" else None
+    return ControlPlan(f, g, x0, T, seed, system.labels, est)
 
 
 def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
@@ -291,12 +268,9 @@ def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
     rhs = (system.matrix @ np.asarray(seed_coeffs, dtype=complex))
     table = spectrum_table(params, N)
     rhs2 = rhs.reshape(2, 2 * N + 1) / (2 * np.pi)
-    uv_rev = np.empty((2, 2 * N + 1), dtype=complex)
-    for col in range(2 * N + 1):
-        M = np.array([[table.zt[0, col, 0], table.zt[0, col, 1]],
-                      [table.zt[1, col, 0], table.zt[1, col, 1]]])
-        uv_rev[:, col] = np.linalg.solve(M, rhs2[:, col])
-    uv = uv_rev[:, ::-1]
+    # per column k: zt[:, k, :] (hat u_{-k}, hat v_{-k}) = rhs2[:, k]
+    uv_rev = np.linalg.solve(table.zt.transpose(1, 0, 2), rhs2.T[:, :, None])
+    uv = uv_rev[::-1, :, 0].T
     w = params.weight
     coeffs = (table.z[:, :, 0] * uv[0]
               + w * table.z[:, :, 1] * uv[1]) / table.norm2

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AliasError
 from .signals import ExponentialSignal, exp_kernel, stack_terms
-from .spectral import PhysicalParams, spectrum_table
+from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 REAL_FIELD_TOL = 1e-12
 
@@ -151,38 +151,24 @@ def v_mean(params: PhysicalParams, state: ModalState) -> complex:
     )
 
 
-def _trace_signals(omega, amps) -> ExponentialSignal:
-    return ExponentialSignal.from_terms(
-        (amp, freq, 0) for amp, freq in zip(amps.ravel(), omega.ravel())
-    )
+def _traces(params: PhysicalParams, state: ModalState, x0: float,
+            adjoint: bool):
+    """The two pointwise traces as exponential sums; terms with coinciding
+    frequencies (the k=0 pair) merge by amplitude addition."""
+    amps = trace_amplitudes(params, state.N, x0, adjoint) * state.coeffs.ravel()
+    omega = spectrum_table(params, state.N).omega.ravel()
+    return tuple(ExponentialSignal.from_terms(
+        (amp, freq, 0) for amp, freq in zip(row, omega)) for row in amps)
 
 
 def trace(params: PhysicalParams, state: ModalState, x0: float):
-    """Pointwise traces (u(., x0), v(., x0)) as exponential sums.
-
-    Terms with coinciding frequencies (the k=0 pair) merge by amplitude
-    addition.
-    """
-    table = spectrum_table(params, state.N)
-    phase = np.exp(1j * table.ks * x0)
-    u_amp = state.coeffs * table.z[:, :, 0] * phase
-    v_amp = state.coeffs * table.z[:, :, 1] * phase
-    return _trace_signals(table.omega, u_amp), _trace_signals(table.omega, v_amp)
+    """Pointwise traces (u(., x0), v(., x0)) as exponential sums."""
+    return _traces(params, state, x0, adjoint=False)
 
 
 def adjoint_trace(params: PhysicalParams, state: ModalState, x0: float):
     """Traces of an adjoint-basis state: (phi(., x0), psi(., x0))."""
-    table = spectrum_table(params, state.N)
-    phase = np.exp(1j * table.ks * x0)
-    p_amp = state.coeffs * table.zt[:, :, 0] * phase
-    q_amp = state.coeffs * table.zt[:, :, 1] * phase
-    return _trace_signals(table.omega, p_amp), _trace_signals(table.omega, q_amp)
-
-
-def adjoint_evolve(params: PhysicalParams, state: ModalState, t: float) -> ModalState:
-    """Free adjoint flow; the transposed symbol shares the frequencies, so
-    this is the same diagonal phase in the adjoint eigenbasis."""
-    return evolve(params, state, t)
+    return _traces(params, state, x0, adjoint=True)
 
 
 def adjoint_modal_uv(params: PhysicalParams, state: ModalState) -> np.ndarray:
@@ -216,16 +202,16 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
         raise ValueError("state truncation does not match N")
     table = spectrum_table(params, N)
     out = evolve(params, state0, T)
-    channels = [(sig, weight) for sig, weight in
-                ((f, table.z[:, :, 0]), (g, params.weight * table.z[:, :, 1]))
-                if sig]
+    # a unit input in channel c enters mode j through conj(amps[c, j]) w_c,
+    # with the energy weights w = (1, ac/d) of the u and v equations
+    inputs = np.conj(trace_amplitudes(params, N, x0)) * [[1.0], [params.weight]]
+    channels = [(sig, row) for sig, row in zip((f, g), inputs) if sig]
     if not channels:
         return out
     amps, freqs, degrees = stack_terms([sig for sig, _ in channels])
-    integ = exp_kernel(freqs, -table.omega.ravel(), 0.0, T, degrees,
-                       left=amps).reshape(len(channels), *table.omega.shape)
-    base = (np.exp(-1j * table.ks * x0) / (2 * np.pi * table.norm2)
-            * np.exp(1j * table.omega * T))
-    for (_, weight), row in zip(channels, integ):
-        out.coeffs += weight * base * row
+    omega = table.omega.ravel()
+    integ = exp_kernel(freqs, -omega, 0.0, T, degrees, left=amps)
+    base = np.exp(1j * omega * T) / (2 * np.pi * table.norm2.ravel())
+    for (_, inp), row in zip(channels, integ):
+        out.coeffs += (inp * base * row).reshape(2, -1)
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,53 +85,55 @@ def symbol_matrix(params: PhysicalParams, k: int) -> np.ndarray:
     return np.array([[k3, a * k3], [d * k3 / c, (k3 - r * k) / c]])
 
 
-def eigenfrequencies(params: PhysicalParams, k: int) -> tuple[float, float]:
-    """Both branch frequencies (omega_plus, omega_minus) of mode k.
+def _closed_forms(params: PhysicalParams, ks):
+    """Frequencies (2, n) and forward and adjoint eigenvectors (2, n, 2) of
+    the modes ``ks``, indexed ``[branch, j]`` with branch 0 = plus.
 
-    The branch label follows the sign in front of the square-root term
-    ``k * sqrt(...)`` of the closed form, so omega(-k) = -omega(k) per
-    branch; for k > 0 this gives omega_plus >= omega_minus.
+    The frequency branch follows the sign in front of the square-root term
+    ``k * sqrt(...)``, so omega(-k) = -omega(k) per branch.  For k != 0 the
+    eigenvectors use the k^-3-scaled form, so components stay O(1) for
+    large |k|; the degenerate mode k = 0 gets the fixed basis
+    (2ac, +-sqrt(4acd)).  The adjoint (transposed-symbol) eigenvectors
+    share the v-components; their u-component is 2d instead of 2ac.
     """
     a, c, d, r = params.a, params.c, params.d, params.r
-    kf = float(k)
-    root = kf * math.sqrt(4 * a * c * d * kf**4 + ((c - 1) * kf**2 + r) ** 2)
+    kf = np.asarray(ks, dtype=float)
+    root = kf * np.sqrt(4 * a * c * d * kf**4 + ((c - 1) * kf**2 + r) ** 2)
     base = (c + 1) * kf**3 - r * kf
-    return (base + root) / (2 * c), (base - root) / (2 * c)
+    omega = np.stack([(base + root) / (2 * c), (base - root) / (2 * c)])
+    zero = kf == 0
+    rk2 = r / np.where(zero, 1.0, kf) ** 2
+    vroot = np.sqrt(4 * a * c * d + (c - 1 + rk2) ** 2)
+    v = np.stack([1 - c - rk2 + vroot, 1 - c - rk2 - vroot])
+    s = math.sqrt(4 * a * c * d)
+    v[:, zero] = [[s], [-s]]
+    z = np.stack([np.broadcast_to(2 * a * c, v.shape), v], axis=-1)
+    zt = np.stack([np.broadcast_to(2 * d, v.shape), v], axis=-1)
+    return omega, z, zt
+
+
+def _pairs(params: PhysicalParams, k: int, adjoint: bool) -> tuple[EigenPair, EigenPair]:
+    omega, z, zt = _closed_forms(params, [k])
+    vecs = zt if adjoint else z
+    return tuple(EigenPair(float(omega[b, 0]), vecs[b, 0]) for b in Branch)
+
+
+def eigenfrequencies(params: PhysicalParams, k: int) -> tuple[float, float]:
+    """Both branch frequencies (omega_plus, omega_minus) of mode k; for
+    k > 0 this gives omega_plus >= omega_minus."""
+    omega = _closed_forms(params, [k])[0][:, 0]
+    return float(omega[0]), float(omega[1])
 
 
 def eigenvectors(params: PhysicalParams, k: int) -> tuple[EigenPair, EigenPair]:
-    """Closed-form eigenpairs (plus, minus) of mode k.
-
-    For k != 0 the k^-3-scaled form is used, so components stay O(1) for
-    large |k|; for k = 0 the degenerate mode gets the fixed basis
-    (2ac, +-sqrt(4acd)).
-    """
-    a, c, d, r = params.a, params.c, params.d, params.r
-    wp, wm = eigenfrequencies(params, k)
-    if k == 0:
-        s = math.sqrt(4 * a * c * d)
-        return (
-            EigenPair(0.0, np.array([2 * a * c, s])),
-            EigenPair(0.0, np.array([2 * a * c, -s])),
-        )
-    rk2 = r / float(k) ** 2
-    root = math.sqrt(4 * a * c * d + (c - 1 + rk2) ** 2)
-    zp = np.array([2 * a * c, 1 - c - rk2 + root])
-    zm = np.array([2 * a * c, 1 - c - rk2 - root])
-    return EigenPair(wp, zp), EigenPair(wm, zm)
+    """Closed-form eigenpairs (plus, minus) of mode k."""
+    return _pairs(params, k, adjoint=False)
 
 
 def adjoint_eigenvectors(params: PhysicalParams, k: int) -> tuple[EigenPair, EigenPair]:
-    """Eigenpairs of the transposed symbol (same frequencies).
-
-    The v-components coincide with the forward ones; the u-component is 2d
-    instead of 2ac.  These are orthogonal under the dual weight d/(a c).
-    """
-    a, c, d = params.a, params.c, params.d
-    ep, em = eigenvectors(params, k)
-    zp = np.array([2 * d, ep.z[1]])
-    zm = np.array([2 * d, em.z[1]])
-    return EigenPair(ep.omega, zp), EigenPair(em.omega, zm)
+    """Eigenpairs of the transposed symbol (same frequencies), orthogonal
+    under the dual weight d/(a c)."""
+    return _pairs(params, k, adjoint=True)
 
 
 def weighted_inner(params: PhysicalParams, y: np.ndarray, z: np.ndarray) -> complex:
@@ -172,26 +174,38 @@ class SpectrumTable:
     def ks(self) -> np.ndarray:
         return np.arange(-self.N, self.N + 1)
 
+    @cached_property
+    def labels(self) -> tuple:
+        """(k, branch) of each column of the arrays flattened over
+        (branch, k)."""
+        return tuple((int(k), b) for b in Branch for k in self.ks)
+
 
 @lru_cache(maxsize=64)
 def spectrum_table(params: PhysicalParams, N: int) -> SpectrumTable:
     if N < 0:
         raise ValueError("truncation N must be >= 0")
-    size = 2 * N + 1
-    omega = np.empty((2, size))
-    z = np.empty((2, size, 2))
-    zt = np.empty((2, size, 2))
-    for k in range(-N, N + 1):
-        ep, em = eigenvectors(params, k)
-        ap, am = adjoint_eigenvectors(params, k)
-        col = k + N
-        omega[0, col], omega[1, col] = ep.omega, em.omega
-        z[0, col], z[1, col] = ep.z, em.z
-        zt[0, col], zt[1, col] = ap.z, am.z
+    omega, z, zt = _closed_forms(params, np.arange(-N, N + 1))
     w = params.weight
     norm2 = z[:, :, 0] ** 2 + w * z[:, :, 1] ** 2
     adj_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
     return SpectrumTable(params, N, omega, z, zt, norm2, adj_norm2)
+
+
+def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
+                     adjoint: bool = False) -> np.ndarray:
+    """Pointwise trace amplitudes ``e^{ikx0} Z[b, k, c]`` at x0, shape
+    (2, 2(2N+1)): row c is the channel (u, v), or (phi, psi) of the adjoint
+    eigenvectors when ``adjoint``; columns run over (branch, k) in the
+    order of ``SpectrumTable.labels``.
+
+    A trace of coefficients c is ``sum_j c_j amps[:, j] e^{i omega_j t}``;
+    by duality, a Dirac input at x0 enters mode j through conj(amps[:, j]).
+    """
+    table = spectrum_table(params, N)
+    z = table.zt if adjoint else table.z
+    phase = np.exp(1j * table.ks * x0)
+    return (np.moveaxis(z, 2, 0) * phase).reshape(2, -1)
 
 
 @dataclass(frozen=True)
@@ -254,22 +268,19 @@ def gap_report(params: PhysicalParams, N: int) -> GapReport:
 @dataclass(frozen=True)
 class ResonanceReport:
     violations: tuple
-    k0_degenerate: bool
 
 
 def resonance_check(params: PhysicalParams, N: int, tol: float) -> ResonanceReport:
     """All pairs of distinct (k, branch) labels with |k|,|n| <= N whose
     frequencies lie within tol of each other.
 
-    The structural coincidence omega_0^+ = omega_0^- = 0 is excluded from
-    the list and reported via the k0_degenerate flag instead.
+    The structural coincidence omega_0^+ = omega_0^- = 0 is excluded.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     table = spectrum_table(params, N)
-    labels = [(int(k), b) for b in (Branch.PLUS, Branch.MINUS)
-              for k in table.ks]
-    freqs = np.concatenate([table.omega[0], table.omega[1]])
+    labels = table.labels
+    freqs = table.omega.ravel()
     order = np.argsort(freqs, kind="stable")
     violations = []
     for i in range(len(order)):
@@ -281,4 +292,4 @@ def resonance_check(params: PhysicalParams, N: int, tol: float) -> ResonanceRepo
             if {li, lj} == {(0, Branch.PLUS), (0, Branch.MINUS)}:
                 continue
             violations.append(tuple(sorted((li, lj))))
-    return ResonanceReport(tuple(sorted(violations)), k0_degenerate=True)
+    return ResonanceReport(tuple(sorted(violations)))

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramianSingular
+from .gram import trace_gram
 from .modal import ModalState
-from .signals import exp_kernel
-from .spectral import PhysicalParams, critical_time, resonance_check, spectrum_table
+from .spectral import (PhysicalParams, critical_time, resonance_check,
+                       spectrum_table, trace_amplitudes)
 
 SINGULAR_REL_TOL = 1e-13
 
@@ -43,21 +44,6 @@ class FeedbackGains:
     closed_loop: np.ndarray   # generator in orthonormal coordinates
 
 
-def _input_matrix(params: PhysicalParams, N: int, x0: float):
-    """(A diag, B) in orthonormal eigen-coordinates y = scale * c, where
-    scale makes the energy the plain squared norm."""
-    table = spectrum_table(params, N)
-    scale = np.sqrt(2 * np.pi * table.norm2).ravel()
-    omega = table.omega.ravel()
-    phase = np.exp(-1j * table.ks * x0)
-    w = params.weight
-    # unit control f adds e^{-ikx0}/(2 pi ||Z||^2) <(1,0), Z>_w per branch
-    bf = (table.z[:, :, 0] * phase / (2 * np.pi * table.norm2)).ravel()
-    bg = (w * table.z[:, :, 1] * phase / (2 * np.pi * table.norm2)).ravel()
-    B = np.stack([bf * scale, bg * scale], axis=1)
-    return omega, B, scale
-
-
 def feedback_gains(params: PhysicalParams, N: int, x0: float,
                    omega_target: float, Th: float) -> FeedbackGains:
     """Gains achieving closed-loop decay at (at least) the target rate.
@@ -72,11 +58,16 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
         raise ValueError("horizon must exceed the critical time")
     if resonance_check(params, N, 1e-9).violations:
         raise ValueError("truncated spectrum has resonant pairs")
-    omega, B, scale = _input_matrix(params, N, x0)
+    table = spectrum_table(params, N)
+    omega = table.omega.ravel()
+    scale = np.sqrt(2 * np.pi * table.norm2).ravel()
+    # in orthonormal coordinates y = scale * c a unit control enters mode j
+    # through conj(amps[c, j]) w_c / scale_j, w = (1, ac/d)
+    inputs = (np.conj(trace_amplitudes(params, N, x0))
+              * [[1.0], [params.weight]] / scale)
+    B = inputs.T
     # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}
-    integ = exp_kernel(-omega + 2j * omega_target, omega, 0.0, Th)
-    lam = (B @ B.conj().T) * integ
-    lam = (lam + lam.conj().T) / 2
+    lam = trace_gram(inputs, -omega, 0.0, Th, shift=2j * omega_target)
     vals = scipy.linalg.eigvalsh(lam)
     if vals[0] <= SINGULAR_REL_TOL * vals[-1]:
         raise GramianSingular("weighted Gramian numerically singular",
@@ -93,7 +84,7 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
 def zero_gains(params: PhysicalParams, N: int, x0: float,
                omega_target: float = 0.0, Th: float = 1.0) -> FeedbackGains:
     """Open-loop reference: zero feedback, conservative dynamics."""
-    omega, _, _ = _input_matrix(params, N, x0)
+    omega = spectrum_table(params, N).omega.ravel()
     n = len(omega)
     return FeedbackGains(params, N, x0, omega_target, Th,
                          np.zeros(n, dtype=complex), np.zeros(n, dtype=complex),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ggkdv.errors import EpsilonUnderflow
@@ -14,14 +16,25 @@ from ggkdv.gram import (
     exp_gram,
     ingham_report,
     observability_constants,
+    trace_gram,
 )
-from ggkdv.gram import _structural_kernel, _trace_amplitudes
+from ggkdv.gram import _structural_kernel
 from ggkdv.modal import ModalState, reconstruct
 from ggkdv.signals import ExponentialSignal, exp_poly_integral
-from ggkdv.spectral import PRESETS, PhysicalParams, critical_time, spectrum_table
+from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
+                            spectrum_table, trace_amplitudes)
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
+
+
+def _trace_amplitudes(params, N, x0):
+    """u and v trace amplitudes, frequencies, energy weights and labels,
+    all flattened over (branch, k)."""
+    table = spectrum_table(params, N)
+    u_amp, v_amp = trace_amplitudes(params, N, x0)
+    return (u_amp, v_amp, table.omega.ravel(),
+            (2 * np.pi * table.norm2).ravel(), table.labels)
 
 
 def quad_integral(func, t0, t1):
@@ -92,15 +105,15 @@ class TestDividedDiffBasis:
 
 class TestExpGram:
     def test_constant_signal(self):
-        gm = exp_gram([ExponentialSignal(((1.0, 0.0, 0),))], None,
+        gm = exp_gram([ExponentialSignal(((1.0, 0.0, 0),))],
                       ObservationWindow(0.0, 3.0))
-        assert gm.entries.shape == (1, 1)
-        assert gm.entries[0, 0] == pytest.approx(3.0)
+        assert gm.shape == (1, 1)
+        assert gm[0, 0] == pytest.approx(3.0)
 
     def test_integer_harmonics_orthogonal(self):
         basis = [ExponentialSignal(((1.0, float(k), 0),)) for k in range(-2, 3)]
-        gm = exp_gram(basis, None, ObservationWindow(0.0, 2 * np.pi))
-        assert np.max(np.abs(gm.entries - 2 * np.pi * np.eye(5))) <= 1e-12
+        gm = exp_gram(basis, ObservationWindow(0.0, 2 * np.pi))
+        assert np.max(np.abs(gm - 2 * np.pi * np.eye(5))) <= 1e-12
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(0)
@@ -108,32 +121,68 @@ class TestExpGram:
             [(complex(*rng.standard_normal(2)), rng.uniform(-8, 8),
               int(rng.integers(0, 2)))]) for _ in range(6)]
         win = ObservationWindow(0.2, 1.9)
-        gm = exp_gram(basis, None, win)
+        gm = exp_gram(basis, win)
         for m in range(6):
             for n in range(6):
                 want = quad_integral(
                     lambda t: basis[m].evaluate(t) * np.conj(basis[n].evaluate(t)),
                     win.t0, win.t1)
-                assert abs(gm.entries[m, n] - want) <= 1e-10
+                assert abs(gm[m, n] - want) <= 1e-10
 
     def test_vector_weights(self):
-        basis = [ExponentialSignal(((1.0, 0.0, 0),)),
-                 ExponentialSignal(((1.0, 1.0, 0),))]
-        weights = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-        gm = exp_gram(basis, weights, ObservationWindow(0.0, 2 * np.pi))
+        # signals e^{0}, e^{it} with channel weights W0 = (1, 0), W1 = (1, 1)
+        amps = np.array([[1.0, 1.0], [0.0, 1.0]])
+        gm = trace_gram(amps, np.array([0.0, 1.0]), 0.0, 2 * np.pi)
         # diagonal: |W|^2 * 2pi; off-diagonal: <W0, W1> * integral e^{-it}
-        assert gm.entries[0, 0] == pytest.approx(2 * np.pi)
-        assert gm.entries[1, 1] == pytest.approx(4 * np.pi)
+        assert gm[0, 0] == pytest.approx(2 * np.pi)
+        assert gm[1, 1] == pytest.approx(4 * np.pi)
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(1)
         basis = [ExponentialSignal.from_terms(
             [(complex(*rng.standard_normal(2)), rng.uniform(-5, 5), 0)])
             for _ in range(5)]
-        gm = exp_gram(basis, None, ObservationWindow(0.0, 1.0))
-        assert np.max(np.abs(gm.entries - gm.entries.conj().T)) <= 1e-13
-        vals = gm.eigvals()
-        assert vals[0] >= -1e-10 * np.trace(gm.entries).real
+        gm = exp_gram(basis, ObservationWindow(0.0, 1.0))
+        assert np.max(np.abs(gm - gm.conj().T)) <= 1e-13
+        vals = np.linalg.eigvalsh(gm)
+        assert vals[0] >= -1e-10 * np.trace(gm).real
+
+
+@st.composite
+def trace_gram_cases(draw):
+    """1-2 channels over 2-5 frequencies, one of them exactly repeated; a
+    zero or weighting shift 2iw, w in [0, 1]; a window inside [0, 3]."""
+    real = st.floats(-2.0, 2.0)
+    distinct = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+    omega = np.array(distinct + [distinct[draw(
+        st.integers(0, len(distinct) - 1))]])
+    channels = draw(st.integers(1, 2))
+    amps = np.array([[complex(draw(real), draw(real)) for _ in omega]
+                     for _ in range(channels)])
+    shift = draw(st.sampled_from([0.0, 1.0])) * 2j * draw(st.floats(0.0, 1.0))
+    t0, t1 = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=2,
+                                  max_size=2, unique=True)))
+    return amps, omega, shift, t0, t1
+
+
+class TestTraceGram:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(trace_gram_cases())
+    def test_entries_against_quadrature(self, case):
+        amps, omega, shift, t0, t1 = case
+        G = trace_gram(amps, omega, t0, t1, shift=shift)
+        n = len(omega)
+        assert np.array_equal(G, G.conj().T)
+        for i in range(n):
+            for j in range(n):
+                weight = np.sum(amps[:, i] * np.conj(amps[:, j]))
+                z = omega[i] - omega[j] + shift
+                re, _ = quad(lambda t: (weight * np.exp(1j * z * t)).real,
+                             t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
+                im, _ = quad(lambda t: (weight * np.exp(1j * z * t)).imag,
+                             t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
+                assert abs(G[i, j] - (re + 1j * im)) <= 1e-10
 
 
 class TestObservabilityConstants:

@@ -8,7 +8,6 @@ from ggkdv.errors import AliasError
 from ggkdv.modal import (
     GridFunction,
     ModalState,
-    adjoint_evolve,
     adjoint_modal_uv,
     adjoint_project_uv,
     adjoint_trace,
@@ -308,7 +307,7 @@ class TestAdjoint:
         s = ModalState.zeros(2)
         s.coeffs[0, 2] = 1.0 + 2.0j
         s.coeffs[1, 2] = -0.5
-        out = adjoint_evolve(GENERIC, s, 7.7)
+        out = evolve(GENERIC, s, 7.7)
         assert np.allclose(out.coeffs[:, 2], s.coeffs[:, 2])
 
     def test_anti_adjointness_matrix_identity(self):

@@ -237,7 +237,6 @@ class TestResonanceCheck:
     def test_ones_clean(self):
         rep = resonance_check(RESONANT, 12, 1e-9)
         assert rep.violations == ()
-        assert rep.k0_degenerate
 
     def test_k0_pair_always_excluded(self):
         # with a huge tolerance many pairs collide but never the k=0 pair
