@@ -1,6 +1,12 @@
 """Spectral analysis, pointwise observability, HUM control synthesis and
 feedback stabilization for a linearized coupled-KdV system on the circle."""
 
+import os as _os
+
+# One OpenBLAS thread unless the user set a count: at the sizes here a second
+# thread costs time and changes the last digits.  Acts only before numpy loads.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (AliasError, ConstraintViolation, EpsilonUnderflow,
                      GramianSingular, IllConditioned)
 from .gram import (Chain, ObservationWindow, cluster_chains,

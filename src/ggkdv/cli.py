@@ -208,9 +208,7 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
 def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
-    T = _float("T", cfg.get("T", 1.0))
-    if T == 0:
-        raise ConfigError("T must be nonzero")
+    T = _float("T", cfg.get("T", 1.0), positive=True)
     mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     initial = _state_from(cfg.get("initial", "random"), N, rng)

@@ -11,6 +11,7 @@ differences provides a well-conditioned coordinate system for those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,8 +132,22 @@ class ObservabilityReport:
     beta: float
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
-    kernel_vectors: np.ndarray = field(repr=False)
     labels: tuple = field(repr=False)
+    # the structural kernel basis, or else the folded form C = S O S and
+    # its scaling S; each is None when the other is set
+    structural: np.ndarray | None = field(repr=False)
+    C: np.ndarray | None = field(repr=False)
+    scale: np.ndarray | None = field(repr=False)
+
+    @cached_property
+    def kernel_vectors(self) -> np.ndarray:
+        """Kernel basis, one column per kernel dimension: the structural one,
+        or, when roundoff adds kernel eigenvalues the structure does not
+        explain, S times the eigenvectors of C, computed on first read."""
+        if self.structural is not None:
+            return self.structural
+        vecs = np.linalg.eigh(self.C)[1]
+        return self.scale[:, None] * vecs[:, :self.kernel_dim]
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -161,16 +176,14 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    kernel_vecs = _structural_kernel(u_amp, v_amp, omega, mode)
-    if kernel_vecs.shape[1] != kernel_dim:
-        # roundoff put eigenvalues under the threshold that the structure
-        # does not explain; report their eigenvectors.  When the counts
-        # agree the structural basis wins: eigenvectors of a near-degenerate
-        # tiny cluster mix with adjacent almost-unobservable directions.
-        vecs = np.linalg.eigh(C)[1]
-        kernel_vecs = scale[:, None] * vecs[:, :kernel_dim]
-    return ObservabilityReport(alpha, beta, kernel_dim, vals,
-                               kernel_vecs, table.labels)
+    structural = _structural_kernel(u_amp, v_amp, omega, mode)
+    # when the counts agree the structural basis wins: eigenvectors of a tiny
+    # cluster mix with adjacent almost-unobservable directions
+    if structural.shape[1] == kernel_dim:
+        return ObservabilityReport(alpha, beta, kernel_dim, vals,
+                                   table.labels, structural, None, None)
+    return ObservabilityReport(alpha, beta, kernel_dim, vals, table.labels,
+                               None, C, scale)
 
 
 def _observed(u_amp, v_amp, mode) -> np.ndarray:

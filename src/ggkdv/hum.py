@@ -137,12 +137,11 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     """
     if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
-    if T == 0:
-        raise ValueError("horizon must be nonzero")
+    if not T > 0:
+        raise ValueError("horizon must be positive")
     table = spectrum_table(params, N)
     amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
-    t0, t1 = (0.0, T) if T > 0 else (T, 0.0)
-    lam = trace_gram(amps, table.omega.ravel(), t0, t1)
+    lam = trace_gram(amps, table.omega.ravel(), 0.0, T)
     return HumSystem(params, N, x0, T, mode, table.labels, lam,
                      _kernel_direction(N, mode))
 
@@ -287,12 +286,11 @@ def verify_roundtrip(params: PhysicalParams, N: int, plan: ControlPlan,
 
 def control_cost(plan: ControlPlan) -> float:
     """``integral_0^T |f|^2 + |g|^2 dt`` of the plan's controls."""
-    t0, t1 = (0.0, plan.T) if plan.T > 0 else (plan.T, 0.0)
     signals = [sig for sig in (plan.f, plan.g) if sig]
     if not signals:
         return 0.0
     amps, freqs, degrees = stack_terms(signals)
-    kernel_amps = exp_kernel(freqs, -freqs, t0, t1, degrees, degrees,
+    kernel_amps = exp_kernel(freqs, -freqs, 0.0, plan.T, degrees, degrees,
                              left=amps)
     return float(np.real(np.sum(kernel_amps * np.conj(amps))))
 

@@ -72,7 +72,7 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
     if vals[0] <= SINGULAR_REL_TOL * vals[-1]:
         raise GramianSingular("weighted Gramian numerically singular",
                               min_eigenvalue=float(vals[0]))
-    K = -B.conj().T @ np.linalg.inv(lam)
+    K = -np.linalg.solve(lam, B).conj().T
     closed_loop = np.diag(1j * omega) + B @ K
     # rows over modal coefficients: control = K_y y = (K_y * scale) c
     F_row = K[0] * scale

@@ -388,6 +388,25 @@ class TestClosedFormsAgainstScipy:
         assert rep.kernel_dim == dim
 
 
+class TestLazyKernelVectors:
+    def test_eigh_runs_once_on_first_read(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a) or eigh(a))
+        # roundoff adds kernel eigenvalues here: the eigenvector fallback
+        rep = observability_constants(GENERIC, 16, 0.0,
+                                      ObservationWindow(0.0, 0.5), "u_only")
+        assert rep.structural is None
+        assert len(calls) == 0
+        vecs = rep.kernel_vectors
+        assert len(calls) == 1
+        assert rep.kernel_vectors is vecs
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            vecs, rep.scale[:, None] * eigh(rep.C)[1][:, :rep.kernel_dim])
+
+
 class TestIngham:
     def test_integer_harmonics_full_period(self):
         direct, inverse = ingham_report(range(-5, 6),

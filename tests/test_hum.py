@@ -236,6 +236,14 @@ class TestSolveControl:
                           "f_only", system=system)
         assert sorted(calls) == ["cho_factor", "eigvalsh", "null_space"]
 
+    def test_negative_horizon_rejected(self):
+        # a Gram over (T, 0) has the opposite sign of the directed Duhamel
+        # integral over [0, T]: such a plan missed its target by 2.0
+        N = 8
+        initial = ModalState.random(N, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            solve_control(GENERIC, N, 0.0, -0.7, initial, ModalState.zeros(N))
+
     def test_g_only_mean_violation_raises(self):
         rng = np.random.default_rng(7)
         N = 5
