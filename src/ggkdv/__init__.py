@@ -9,8 +9,7 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (AliasError, ConstraintViolation, EpsilonUnderflow,
                      GramianSingular, IllConditioned)
-from .gram import (Chain, ObservationWindow, cluster_chains,
-                   divided_diff_basis, divided_difference_constants, exp_gram,
+from .gram import (ObservationWindow, divided_difference_constants,
                    ingham_report, observability_constants, trace_gram)
 from .hum import (ControlPlan, HumSystem, assemble_lambda, bilinear_pairing,
                   control_cost, duality_residual, reachable_defect,

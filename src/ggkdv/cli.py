@@ -90,7 +90,7 @@ def _params_from(cfg: dict) -> spectral.PhysicalParams:
         return spectral.PhysicalParams(
             float(cfg.get("a", 1.0)), float(cfg.get("c", 1.0)),
             float(cfg.get("d", 1.0)), float(cfg.get("r", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -100,7 +100,10 @@ def _state_from(spec_val, N: int, rng: np.random.Generator) -> modal.ModalState:
     if spec_val == "random":
         return modal.ModalState.random(N, rng)
     if isinstance(spec_val, list):
-        flat = np.array([complex(re, im) for re, im in spec_val])
+        if not all(isinstance(c, list) and len(c) == 2 for c in spec_val):
+            raise ConfigError("state coefficients must be [re, im] pairs")
+        flat = np.array([complex(_float("state", re), _float("state", im))
+                         for re, im in spec_val])
         if len(flat) != 2 * (2 * N + 1):
             raise ConfigError("state coefficient list has wrong length")
         return modal.ModalState(N, flat.reshape(2, 2 * N + 1))
@@ -188,7 +191,9 @@ def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
 
 def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
     if "frequencies" in cfg:
-        freqs = [float(f) for f in cfg["frequencies"]]
+        freqs = [_float("frequencies", f) for f in _list(cfg, "frequencies")]
+        if not freqs:
+            raise ConfigError("frequencies must be a nonempty list")
     else:
         lo = _int("freq_min", cfg.get("freq_min", -5), minimum=None)
         hi = _int("freq_max", cfg.get("freq_max", 5), minimum=lo)
@@ -198,7 +203,10 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
     if not t1 > t0:
         raise ConfigError(f"window needs t1 > t0, got t0={t0!r}, t1={t1!r}")
     window = gram.ObservationWindow(t0, t1)
-    direct, inverse = gram.ingham_report(freqs, window)
+    try:
+        direct, inverse = gram.ingham_report(freqs, window)
+    except ValueError as exc:  # repeated frequencies
+        raise ConfigError(str(exc)) from exc
     _write_csv(out / "ingham.csv",
                ["family_size", "window_length", "direct_const", "inverse_const"],
                [(str(len(freqs)), window.length, direct, inverse)])

@@ -3,9 +3,10 @@
 The observation quadratic forms ``integral_I |trace|^2 dt`` are Hermitian
 Gram matrices with closed-form entries.  Two-sided observability constants
 are their extreme generalized eigenvalues against the (diagonal) energy
-form.  For single-trace observation the merged frequency family has
-clustered cross-branch pairs; chain clustering with Newton divided
-differences provides a well-conditioned coordinate system for those.
+form.  ``divided_difference_constants`` gives the Riesz bounds of the
+merged frequency family, whose cross-branch members cluster in pairs, in
+the Newton divided-difference coordinates of the single-trace proof; in
+practice that Gram is no better conditioned than the plain one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EpsilonUnderflow
-from .signals import ExponentialSignal, exp_kernel, stack_terms
+from .signals import exp_kernel
 from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 KERNEL_REL_TOL = 1e-14
@@ -38,80 +39,6 @@ class ObservationWindow:
         return self.t1 - self.t0
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Equivalence class of clustered frequencies; at most two members."""
-
-    members: tuple  # ((label, freq), ...) sorted by frequency
-    epsilon: float
-
-    def __post_init__(self):
-        if not 1 <= len(self.members) <= 2:
-            raise ValueError("a chain has one or two members")
-
-
-def cluster_chains(frequencies, epsilon: float) -> tuple[list[Chain], float]:
-    """Transitive closure of |x - y| < epsilon over a labelled family.
-
-    If any class collects more than two members, epsilon is halved until
-    all classes have at most two; the final epsilon is returned alongside
-    the chains.  Raises EpsilonUnderflow below 1e-14 (a genuine resonance).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    entries = sorted(frequencies, key=lambda lf: lf[1])
-    while True:
-        classes: list[list] = []
-        for label, freq in entries:
-            if classes and freq - classes[-1][-1][1] < epsilon:
-                classes[-1].append((label, freq))
-            else:
-                classes.append([(label, freq)])
-        if all(len(cls) <= 2 for cls in classes):
-            return [Chain(tuple(cls), epsilon) for cls in classes], epsilon
-        epsilon /= 2
-        if epsilon < EPSILON_FLOOR:
-            raise EpsilonUnderflow(
-                "clustering tolerance underflow; run resonance_check")
-
-
-def divided_diff_basis(chain: Chain) -> list[ExponentialSignal]:
-    """Newton divided-difference functions of a chain.
-
-    Singleton -> {e^{i w t}}; a separated pair -> {e^{i w1 t},
-    (e^{i w1 t} - e^{i w2 t})/(w1 - w2)}; a coincident pair -> the analytic
-    limit {e^{i w t}, t e^{i w t}}.
-    """
-    freqs = [f for _, f in chain.members]
-    if len(freqs) == 1:
-        return [ExponentialSignal(((1.0 + 0.0j, freqs[0], 0),))]
-    w1, w2 = freqs
-    if abs(w1 - w2) <= COINCIDENT_TOL:
-        return [
-            ExponentialSignal(((1.0 + 0.0j, w1, 0),)),
-            ExponentialSignal(((1.0 + 0.0j, w1, 1),)),
-        ]
-    inv = 1.0 / (w1 - w2)
-    return [
-        ExponentialSignal(((1.0 + 0.0j, w1, 0),)),
-        ExponentialSignal.from_terms([(inv, w1, 0), (-inv, w2, 0)]),
-    ]
-
-
-def exp_gram(basis: list[ExponentialSignal],
-             window: ObservationWindow) -> np.ndarray:
-    """Hermitian Gram matrix ``integral_I b_m conj(b_n) dt`` of the signals
-    over the window, all integrals in closed form."""
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    amps, freqs, degrees = stack_terms(basis)
-    G = np.einsum("mj,nj->mn", exp_kernel(freqs, -freqs, window.t0,
-                                          window.t1, degrees, degrees,
-                                          left=amps), amps.conj())
-    # symmetrize away last-bit asymmetry
-    return (G + G.conj().T) / 2
-
-
 def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
     """Hermitian Gram of multi-channel exponential traces:
 
@@ -126,7 +53,7 @@ def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
     return (G + G.conj().T) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservabilityReport:
     alpha: float
     beta: float
@@ -246,33 +173,59 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     return float(vals[-1]), float(vals[0])
 
 
-def default_chain_epsilon(params: PhysicalParams, N: int) -> float:
-    """min(1, gamma_hat / 4) with gamma_hat the smallest same-branch gap."""
-    table = spectrum_table(params, N)
-    gamma = min(float(np.min(np.abs(np.diff(table.omega[0])))),
-                float(np.min(np.abs(np.diff(table.omega[1])))))
-    return min(1.0, gamma / 4)
-
-
 def divided_difference_constants(params: PhysicalParams, N: int,
                                  window: ObservationWindow,
                                  epsilon: float | None = None):
-    """Riesz bounds of the merged frequency family in divided-difference
-    coordinates: extreme eigenvalues of the Gram of the Newton basis built
-    over the clustered chains."""
+    """Riesz bounds ``(lo, hi, epsilon)`` of the merged frequency family:
+    extreme eigenvalues of the Gram of the Newton basis over its chains, lo
+    floored at zero (the form is PSD and tiny negatives are roundoff).
+    epsilon defaults to min(1, smallest same-branch gap / 4)."""
     table = spectrum_table(params, N)
-    entries = zip(table.labels, table.omega.ravel().tolist())
-    # the structural k=0 duplicate is one family element, not a cluster
-    seen = set()
-    unique = []
-    for label, f in entries:
-        if f in seen:
-            continue
-        seen.add(f)
-        unique.append((label, f))
     if epsilon is None:
-        epsilon = default_chain_epsilon(params, N)
-    chains, eps = cluster_chains(unique, epsilon)
-    basis = [sig for ch in chains for sig in divided_diff_basis(ch)]
-    vals = np.linalg.eigvalsh(exp_gram(basis, window))
-    return float(vals[0]), float(vals[-1]), eps
+        epsilon = min(1.0, float(np.min(np.abs(np.diff(table.omega)))) / 4)
+    # the structural k=0 duplicate is one family element, not a cluster
+    omega = np.unique(table.omega)
+    linked, epsilon = _cluster(omega, epsilon)
+    vals = np.linalg.eigvalsh(_newton_gram(omega, linked, window))
+    return max(float(vals[0]), 0.0), float(vals[-1]), epsilon
+
+
+def _cluster(omega, epsilon: float):
+    """``(linked, epsilon)``: ``linked[i]`` joins omega[i] and omega[i+1]
+    (gap below epsilon) in a chain, epsilon halved until no chain has three
+    members.  Raises EpsilonUnderflow below EPSILON_FLOOR (a resonance)."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    gaps = np.diff(omega)
+    while True:
+        linked = gaps < epsilon
+        if not np.any(linked[1:] & linked[:-1]):
+            return linked, epsilon
+        epsilon /= 2
+        if epsilon < EPSILON_FLOOR:
+            raise EpsilonUnderflow(
+                "clustering tolerance underflow; run resonance_check")
+
+
+def _newton_gram(omega, linked, window: ObservationWindow) -> np.ndarray:
+    """Closed-form Gram ``integral_I b_m conj(b_n) dt`` of the Newton basis
+    of the chains ``linked`` over the sorted frequencies omega: e^{i w t}
+    for each w, except that the second member of a pair (w1, w2) gives
+    (e^{i w1 t} - e^{i w2 t}) / (w1 - w2), or t e^{i w1 t} within
+    COINCIDENT_TOL."""
+    pairs = np.flatnonzero(linked)
+    near = omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL
+    apart, close = pairs[~near], pairs[near]
+    amps = np.eye(len(omega), dtype=complex)
+    inv = 1.0 / (omega[apart] - omega[apart + 1])
+    amps[apart + 1, apart] = inv
+    amps[apart + 1, apart + 1] = -inv
+    freqs = omega.copy()
+    freqs[close + 1] = omega[close]
+    degrees = np.zeros(len(omega), dtype=int)
+    degrees[close + 1] = 1
+    G = np.einsum("mj,nj->mn", exp_kernel(freqs, -freqs, window.t0,
+                                          window.t1, degrees, degrees,
+                                          left=amps), amps.conj())
+    # symmetrize away last-bit asymmetry
+    return (G + G.conj().T) / 2

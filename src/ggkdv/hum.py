@@ -31,7 +31,7 @@ MEAN_TOL = 1e-10
 _CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Factorization:
     """What every solve against one system shares."""
 
@@ -42,7 +42,7 @@ class _Factorization:
     cho: tuple | None          # Cholesky factor; None when ill-conditioned
 
 
-@dataclass
+@dataclass(eq=False)
 class HumSystem:
     """The control operator in adjoint eigen-coordinates.
 
@@ -99,7 +99,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlPlan:
     f: ExponentialSignal | None
     g: ExponentialSignal | None

@@ -19,7 +19,7 @@ from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 REAL_FIELD_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class ModalState:
     """Coefficients c_k^{+-} of a truncated state, shape (2, 2N+1)."""
 
@@ -59,7 +59,7 @@ class ModalState:
         return float(np.max(dev)) <= tol * max(1.0, float(np.max(np.abs(self.coeffs))))
 
 
-@dataclass
+@dataclass(eq=False)
 class GridFunction:
     """(u, v) sampled at M uniform circle points x_j = 2 pi j / M."""
 

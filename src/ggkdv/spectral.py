@@ -72,7 +72,7 @@ class Branch(enum.IntEnum):
         return "+" if self is Branch.PLUS else "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     omega: float
     z: np.ndarray  # real 2-vector (u-part, v-part)
@@ -150,7 +150,7 @@ def critical_time(params: PhysicalParams) -> float:
     return 2 * math.pi * c * (c + 1) / r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Vectorized spectral data for |k| <= N.
 
@@ -208,7 +208,7 @@ def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
     return (np.moveaxis(z, 2, 0) * phase).reshape(2, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapReport:
     N: int
     plus_gaps: np.ndarray   # omega_{k+1}^+ - omega_k^+ for k = -N .. N-1

@@ -26,7 +26,7 @@ from .spectral import (PhysicalParams, critical_time, resonance_check,
 SINGULAR_REL_TOL = 1e-13
 
 
-@dataclass
+@dataclass(eq=False)
 class FeedbackGains:
     """Linear feedback functionals over modal coordinates.
 
@@ -91,7 +91,7 @@ def zero_gains(params: PhysicalParams, N: int, x0: float,
                          np.diag(1j * omega))
 
 
-@dataclass
+@dataclass(eq=False)
 class DecayReport:
     times: np.ndarray
     energies: np.ndarray

@@ -116,6 +116,13 @@ class TestErrors:
         ("observe", {"window_length": -1}),
         ("observe", {"window_length": "abc"}),
         ("observe", {"window_lengths": [1.0, 0.0]}),
+        ("ingham", {"frequencies": [1, 1, 2]}),
+        ("ingham", {"frequencies": []}),
+        ("ingham", {"frequencies": "abc"}),
+        ("ingham", {"frequencies": [1, "x"]}),
+        ("spectrum", {"preset": None, "a": [1]}),
+        ("control", {"initial": [[1, 2, 3]]}),
+        ("control", {"initial": [[0.0, 0.0]] * 25 + ["x"]}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,

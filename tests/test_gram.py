@@ -7,20 +7,15 @@ from scipy.integrate import quad
 
 from ggkdv.errors import EpsilonUnderflow
 from ggkdv.gram import (
-    Chain,
     ObservationWindow,
-    cluster_chains,
-    default_chain_epsilon,
-    divided_diff_basis,
     divided_difference_constants,
-    exp_gram,
     ingham_report,
     observability_constants,
     trace_gram,
 )
-from ggkdv.gram import _structural_kernel
+from ggkdv.gram import _cluster, _newton_gram, _structural_kernel
 from ggkdv.modal import ModalState, reconstruct
-from ggkdv.signals import ExponentialSignal, exp_poly_integral
+from ggkdv.signals import exp_poly_integral
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
                             spectrum_table, trace_amplitudes)
 
@@ -52,100 +47,75 @@ class TestObservationWindow:
             ObservationWindow(1.0, 1.0)
 
 
-class TestClusterChains:
+class TestCluster:
     def test_separated_singletons(self):
-        chains, eps = cluster_chains([("a", 0.0), ("b", 10.0), ("c", 20.0)], 1.0)
-        assert len(chains) == 3
-        assert all(len(ch.members) == 1 for ch in chains)
+        linked, eps = _cluster(np.array([0.0, 10.0, 20.0]), 1.0)
+        assert not linked.any()
         assert eps == 1.0
 
     def test_k0_pair_clusters(self):
+        # both zeros kept: the structural pair is one two-member run
         table = spectrum_table(RESONANT, 6)
-        fam = [((int(k), b), float(table.omega[b, k + 6]))
-               for b in (0, 1) for k in table.ks]
-        # drop one of the two zero entries like the dd pipeline does, then
-        # feed both back in to observe the structural pair cluster
-        chains, _ = cluster_chains(fam, default_chain_epsilon(RESONANT, 6))
-        zero_chain = [ch for ch in chains
-                      if any(abs(f) < 1e-12 for _, f in ch.members)]
-        assert len(zero_chain) == 1
-        assert len(zero_chain[0].members) == 2
+        omega = np.sort(table.omega.ravel())
+        eps = min(1.0, float(np.min(np.abs(np.diff(table.omega)))) / 4)
+        linked, _ = _cluster(omega, eps)
+        zeros = np.flatnonzero(omega == 0.0)
+        np.testing.assert_array_equal(zeros, [zeros[0], zeros[0] + 1])
+        assert linked[zeros[0]]
+        assert not linked[zeros[0] - 1] and not linked[zeros[1]]
 
     def test_auto_halving_splits(self):
         # 0, 0.6, 1.2 chain transitively at eps=1; halving to 0.5 splits all
-        chains, eps = cluster_chains([("a", 0.0), ("b", 0.6), ("c", 1.2)], 1.0)
+        linked, eps = _cluster(np.array([0.0, 0.6, 1.2]), 1.0)
         assert eps == 0.5
-        assert [len(ch.members) for ch in chains] == [1, 1, 1]
+        assert not linked.any()
 
     def test_underflow_on_triple_collision(self):
         with pytest.raises(EpsilonUnderflow):
-            cluster_chains([("a", 0.0), ("b", 1e-15), ("c", 2e-15)], 1.0)
+            _cluster(np.array([0.0, 1e-15, 2e-15]), 1.0)
 
-    def test_chain_size_validated(self):
+    def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            Chain((("a", 0.0), ("b", 0.1), ("c", 0.2)), 1.0)
+            _cluster(np.array([0.0, 1.0]), 0.0)
 
 
-class TestDividedDiffBasis:
+class TestNewtonGram:
+    """Every entry against quadrature of the explicit basis functions."""
+
+    @staticmethod
+    def check(omega, linked, basis, t0, t1, tol=1e-10):
+        G = _newton_gram(np.array(omega), np.array(linked, dtype=bool),
+                         ObservationWindow(t0, t1))
+        assert G.shape == (len(basis), len(basis))
+        for m, bm in enumerate(basis):
+            for n, bn in enumerate(basis):
+                want = quad_integral(lambda t: bm(t) * np.conj(bn(t)), t0, t1)
+                assert abs(G[m, n] - want) <= tol
+        return G
+
     def test_singleton(self):
-        basis = divided_diff_basis(Chain((("a", 3.0),), 0.1))
-        assert basis[0].terms == ((1.0 + 0.0j, 3.0, 0),)
+        self.check([3.0], [], [lambda t: np.exp(3j * t)], 0.2, 1.9)
 
-    def test_close_pair_approximates_derivative(self):
-        basis = divided_diff_basis(Chain((("a", 5.0), ("b", 5.0 + 1e-3)), 0.1))
-        t = np.linspace(0, 1, 50)
-        want = 1j * t * np.exp(1j * 5.0 * t)
-        assert np.max(np.abs(basis[1].evaluate(t) - want)) <= 1e-3
+    def test_close_pair(self):
+        # the difference row has amplitudes 1/(w1 - w2), so the kernel's
+        # roundoff reaches the Gram amplified by 1/(w1 - w2)^2: 1.4e-10 here
+        w1, w2 = 5.0, 5.001
+        self.check([w1, w2], [True],
+                   [lambda t: np.exp(1j * w1 * t),
+                    lambda t: (np.exp(1j * w1 * t) - np.exp(1j * w2 * t))
+                    / (w1 - w2)], 0.0, 1.0,
+                   tol=1e-10 + 4 * np.finfo(float).eps / (w2 - w1) ** 2)
 
     def test_coincident_pair_limit(self):
-        basis = divided_diff_basis(Chain((("a", 0.0), ("b", 0.0)), 0.1))
-        assert basis[0].terms == ((1.0 + 0.0j, 0.0, 0),)
-        assert basis[1].terms == ((1.0 + 0.0j, 0.0, 1),)
-
-
-class TestExpGram:
-    def test_constant_signal(self):
-        gm = exp_gram([ExponentialSignal(((1.0, 0.0, 0),))],
-                      ObservationWindow(0.0, 3.0))
-        assert gm.shape == (1, 1)
-        assert gm[0, 0] == pytest.approx(3.0)
+        self.check([0.0, 5e-13], [True],
+                   [lambda t: np.ones_like(t), lambda t: t], 0.0, 1.0)
 
     def test_integer_harmonics_orthogonal(self):
-        basis = [ExponentialSignal(((1.0, float(k), 0),)) for k in range(-2, 3)]
-        gm = exp_gram(basis, ObservationWindow(0.0, 2 * np.pi))
-        assert np.max(np.abs(gm - 2 * np.pi * np.eye(5))) <= 1e-12
-
-    def test_against_quadrature(self):
-        rng = np.random.default_rng(0)
-        basis = [ExponentialSignal.from_terms(
-            [(complex(*rng.standard_normal(2)), rng.uniform(-8, 8),
-              int(rng.integers(0, 2)))]) for _ in range(6)]
-        win = ObservationWindow(0.2, 1.9)
-        gm = exp_gram(basis, win)
-        for m in range(6):
-            for n in range(6):
-                want = quad_integral(
-                    lambda t: basis[m].evaluate(t) * np.conj(basis[n].evaluate(t)),
-                    win.t0, win.t1)
-                assert abs(gm[m, n] - want) <= 1e-10
-
-    def test_vector_weights(self):
-        # signals e^{0}, e^{it} with channel weights W0 = (1, 0), W1 = (1, 1)
-        amps = np.array([[1.0, 1.0], [0.0, 1.0]])
-        gm = trace_gram(amps, np.array([0.0, 1.0]), 0.0, 2 * np.pi)
-        # diagonal: |W|^2 * 2pi; off-diagonal: <W0, W1> * integral e^{-it}
-        assert gm[0, 0] == pytest.approx(2 * np.pi)
-        assert gm[1, 1] == pytest.approx(4 * np.pi)
-
-    def test_hermitian_psd(self):
-        rng = np.random.default_rng(1)
-        basis = [ExponentialSignal.from_terms(
-            [(complex(*rng.standard_normal(2)), rng.uniform(-5, 5), 0)])
-            for _ in range(5)]
-        gm = exp_gram(basis, ObservationWindow(0.0, 1.0))
-        assert np.max(np.abs(gm - gm.conj().T)) <= 1e-13
-        vals = np.linalg.eigvalsh(gm)
-        assert vals[0] >= -1e-10 * np.trace(gm).real
+        ks = np.arange(-2.0, 3.0)
+        G = self.check(ks, [False] * 4,
+                       [lambda t, k=k: np.exp(1j * k * t) for k in ks],
+                       0.0, 2 * np.pi)
+        assert np.max(np.abs(G - 2 * np.pi * np.eye(5))) <= 1e-12
 
 
 @st.composite
@@ -183,6 +153,14 @@ class TestTraceGram:
                 im, _ = quad(lambda t: (weight * np.exp(1j * z * t)).imag,
                              t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
                 assert abs(G[i, j] - (re + 1j * im)) <= 1e-10
+
+    def test_vector_weights(self):
+        # signals e^{0}, e^{it} with channel weights W0 = (1, 0), W1 = (1, 1)
+        amps = np.array([[1.0, 1.0], [0.0, 1.0]])
+        gm = trace_gram(amps, np.array([0.0, 1.0]), 0.0, 2 * np.pi)
+        # diagonal: |W|^2 * 2pi; off-diagonal: <W0, W1> * integral e^{-it}
+        assert gm[0, 0] == pytest.approx(2 * np.pi)
+        assert gm[1, 1] == pytest.approx(4 * np.pi)
 
 
 class TestObservabilityConstants:
@@ -286,6 +264,14 @@ class TestObservabilityConstants:
                                  eigvals_only=True)
         alpha_lim = max(float(vals[0]), 0.0)
         assert abs(alpha_lim - rep.alpha) < 0.2 * rep.alpha
+
+    def test_reports_compare_by_identity(self):
+        # array fields: a field-wise == would raise on two equal reports
+        win = ObservationWindow(0.0, 1.0)
+        a = observability_constants(GENERIC, 6, 0.0, win)
+        b = observability_constants(GENERIC, 6, 0.0, win)
+        assert a == a
+        assert not a == b
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -443,6 +429,12 @@ class TestDividedDifferenceConstants:
             GENERIC, 6, ObservationWindow(0.0, 2 * np.pi))
         assert 0 < lo <= hi
 
-    def test_default_epsilon_positive(self):
-        eps = default_chain_epsilon(GENERIC, 8)
-        assert 0 < eps <= 1.0
+    @pytest.mark.parametrize("N", [6, 8, 16, 32])
+    def test_bounds_ordered_nonnegative(self, N):
+        # the benchmark's windows, where roundoff gave lo slightly below 0
+        for params, length in ((GENERIC, 0.5), (GENERIC, 1.0),
+                               (RESONANT, 0.5 * T0_RES),
+                               (RESONANT, 1.5 * T0_RES)):
+            lo, hi, _ = divided_difference_constants(
+                params, N, ObservationWindow(0.0, length))
+            assert 0 <= lo <= hi

@@ -74,6 +74,12 @@ class TestProjectReconstruct:
         fields = GridFunction(np.zeros(16), np.zeros(16))
         assert np.all(project(GENERIC, 4, fields).coeffs == 0)
 
+    def test_states_compare_by_identity(self):
+        # array fields: a field-wise == would raise on two equal states
+        a, b = ModalState.zeros(2), ModalState.zeros(2)
+        assert a == a
+        assert not a == b
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
         state = ModalState.random(8, rng)
