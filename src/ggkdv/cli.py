@@ -83,7 +83,7 @@ def _list(cfg: dict, key: str) -> list:
 def _params_from(cfg: dict) -> spectral.PhysicalParams:
     preset = cfg.get("preset")
     if preset is not None:
-        if preset not in spectral.PRESETS:
+        if not isinstance(preset, str) or preset not in spectral.PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
         return spectral.PRESETS[preset]
     try:

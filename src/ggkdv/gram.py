@@ -3,9 +3,12 @@
 The observation quadratic forms ``integral_I |trace|^2 dt`` are Hermitian
 Gram matrices with closed-form entries.  Two-sided observability constants
 are their extreme generalized eigenvalues against the (diagonal) energy
-form.  ``divided_difference_constants`` gives the Riesz bounds of the
-merged frequency family, whose cross-branch members cluster in pairs, in
-the Newton divided-difference coordinates of the single-trace proof; in
+form.  The observation point and the window's centre enter those forms
+only through a diagonal of phases, so the constants are the eigenvalues
+of one real symmetric matrix and do not depend on the observation point.
+``divided_difference_constants`` gives the Riesz bounds of the merged
+frequency family, whose cross-branch members cluster in pairs, in the
+Newton divided-difference coordinates of the single-trace proof; in
 practice that Gram is no better conditioned than the plain one.
 """
 
@@ -60,8 +63,9 @@ class ObservabilityReport:
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
     labels: tuple = field(repr=False)
-    # the structural kernel basis, or else the folded form C = S O S and
-    # its scaling S; each is None when the other is set
+    # the structural kernel basis, or else the real folded form C = S R S
+    # and the scaling D S of its eigenvectors; each is None when the other
+    # is set
     structural: np.ndarray | None = field(repr=False)
     C: np.ndarray | None = field(repr=False)
     scale: np.ndarray | None = field(repr=False)
@@ -70,7 +74,7 @@ class ObservabilityReport:
     def kernel_vectors(self) -> np.ndarray:
         """Kernel basis, one column per kernel dimension: the structural one,
         or, when roundoff adds kernel eigenvalues the structure does not
-        explain, S times the eigenvectors of C, computed on first read."""
+        explain, scale times the eigenvectors of C, computed on first read."""
         if self.structural is not None:
             return self.structural
         vecs = np.linalg.eigh(self.C)[1]
@@ -87,28 +91,35 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     tiny negatives are roundoff), beta the largest; kernel_dim counts
     eigenvalues at or below the relative kernel threshold.  mode selects
     which traces are observed.  The diagonal energy form is folded in as
-    ``C = S O S`` with ``S = diag(2 pi ||Z||_w^2)^-1/2``, so the
-    generalized problem is the ordinary Hermitian one of C and its
-    eigenvectors scale back by S.
+    ``C = S R S`` with ``S = diag(2 pi ||Z||_w^2)^-1/2`` and R the form of
+    the real amplitudes Z over the centred window [-h, h].  x0 and the
+    window's centre t_c enter only as ``D = diag(e^{i(k x0 + omega t_c)})``
+    in the form ``D C D^H``, so the eigenvalues are those of the real C,
+    independent of x0, and eigenvectors map back by ``scale = D S``.
     """
     if mode not in ("both", "u_only", "v_only"):
         raise ValueError(f"unknown mode {mode!r}")
     table = spectrum_table(params, N)
-    u_amp, v_amp = trace_amplitudes(params, N, x0)
     omega = table.omega.ravel()
-    scale = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
-    C = trace_gram(_observed(u_amp, v_amp, mode) * scale, omega,
-                   window.t0, window.t1)
+    norm = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
+    h = window.length / 2
+    z = trace_amplitudes(params, N, 0.0).real  # real at x0 = 0
+    # the integral over [-h, h] is twice the real part of the one over
+    # [0, h], where the kernel spares an exponential
+    C = 2 * trace_gram(_observed(*z, mode) * norm, omega, 0.0, h).real
     vals = np.linalg.eigvalsh(C)
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
+    u_amp, v_amp = trace_amplitudes(params, N, x0)
     structural = _structural_kernel(u_amp, v_amp, omega, mode)
     # when the counts agree the structural basis wins: eigenvectors of a tiny
     # cluster mix with adjacent almost-unobservable directions
     if structural.shape[1] == kernel_dim:
         return ObservabilityReport(alpha, beta, kernel_dim, vals,
                                    table.labels, structural, None, None)
+    ks = np.tile(table.ks, 2)
+    scale = np.exp(1j * (ks * x0 + omega * (window.t0 + h))) * norm
     return ObservabilityReport(alpha, beta, kernel_dim, vals, table.labels,
                                None, C, scale)
 
@@ -168,7 +179,10 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     freqs = np.asarray(sorted(frequencies), dtype=float)
     if len(np.unique(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
-    G = trace_gram(np.ones((1, len(freqs))), freqs, window.t0, window.t1)
+    # the window's centre enters only as a unitary diagonal: the Gram over
+    # the centred window [-h, h] is real symmetric with the same eigenvalues
+    h = window.length / 2
+    G = 2 * trace_gram(np.ones((1, len(freqs))), freqs, 0.0, h).real
     vals = np.linalg.eigvalsh(G)
     return float(vals[-1]), float(vals[0])
 

@@ -53,6 +53,18 @@ class TestObserve:
         kernel_dims = [int(ln.split(",")[-1]) for ln in lines[1:]]
         assert kernel_dims == [1, 1, 1]
 
+    def test_bytes_independent_of_x0(self, tmp_path):
+        # alpha is ~7e-12 of beta here, where roundoff reaches the digits
+        written = []
+        for x0 in (0.0, 2.5):
+            out = tmp_path / f"x0_{x0}"
+            out.mkdir()
+            cfg = {"preset": "generic", "N": 48, "window_length": 0.5,
+                   "x0": x0}
+            assert run_cli(out, "observe", config=cfg) == 0
+            written.append((out / "observability.csv").read_bytes())
+        assert written[0] == written[1]
+
 
 class TestControl:
     def test_mean_violation_exit_2_no_plan(self, tmp_path, capsys):
@@ -123,6 +135,8 @@ class TestErrors:
         ("spectrum", {"preset": None, "a": [1]}),
         ("control", {"initial": [[1, 2, 3]]}),
         ("control", {"initial": [[0.0, 0.0]] * 25 + ["x"]}),
+        ("observe", {"preset": ["generic"]}),
+        ("observe", {"preset": {"a": 1}}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,

@@ -393,6 +393,75 @@ class TestLazyKernelVectors:
             vecs, rep.scale[:, None] * eigh(rep.C)[1][:, :rep.kernel_dim])
 
 
+def folded_complex_form(params, N, x0, window, mode):
+    """The observation form over [t0, t1] with the x0 phases in its
+    amplitudes, folded by the energy weights: the complex Hermitian matrix
+    whose eigenvalues are the observability constants."""
+    u_amp, v_amp, omega, ew, _ = _trace_amplitudes(params, N, x0)
+    base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
+                             window.t0, window.t1)
+    O = sum(np.outer(amp, np.conj(amp)) * base
+            for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
+            if mode in ("both", only))
+    s = 1.0 / np.sqrt(ew)
+    C = s[:, None] * (O + O.conj().T) / 2 * s
+    return C, s
+
+
+OBS_WINDOWS = [("generic", 0.5), ("generic", 1.0),
+               ("resonant", 0.5 * T0_RES), ("resonant", 1.5 * T0_RES)]
+MODES = ["both", "u_only", "v_only"]
+# the real and the complex form agree to a few eps * beta (at most 3.9e-15
+# beta at N=64 over OBS_WINDOWS and MODES, with one BLAS thread or two)
+FORM_ROUNDOFF = 5e-15
+
+
+class TestRealForm:
+    """x0 and the window's centre enter the observation form only through a
+    unitary diagonal, so the constants come from one real symmetric form."""
+
+    @pytest.mark.parametrize("N", [6, 16])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("preset, length", OBS_WINDOWS)
+    def test_x0_invariance_exact(self, preset, length, mode, N):
+        window = ObservationWindow(0.0, length)
+        ref = observability_constants(PRESETS[preset], N, 0.0, window, mode)
+        for x0 in (0.9365, 2.5):
+            rep = observability_constants(PRESETS[preset], N, x0, window, mode)
+            np.testing.assert_array_equal(rep.eigenvalues, ref.eigenvalues)
+            np.testing.assert_array_equal(
+                (rep.alpha, rep.beta, rep.kernel_dim),
+                (ref.alpha, ref.beta, ref.kernel_dim))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("preset, length", OBS_WINDOWS)
+    def test_agrees_with_complex_form(self, preset, length, mode):
+        params, N = PRESETS[preset], 64
+        window = ObservationWindow(0.0, length)
+        for x0 in (0.0, 2.5):
+            rep = observability_constants(params, N, x0, window, mode)
+            C, s = folded_complex_form(params, N, x0, window, mode)
+            ref = np.linalg.eigvalsh(C)
+            beta = ref[-1]
+            assert abs(rep.beta - beta) <= 1e-13 * beta
+            assert np.max(np.abs(rep.eigenvalues - ref)) <= FORM_ROUNDOFF * beta
+            # the same kernel count, unless an eigenvalue lies within that
+            # roundoff of the kernel threshold (resonant, 0.5 T0, both: the
+            # 45th eigenvalue is 9.53e-15 beta at 32 digits, and either
+            # form counts 44 or 45 with the BLAS thread count and x0)
+            lo, hi = (int(np.sum(ref <= (1e-14 + sign * FORM_ROUNDOFF) * beta))
+                      for sign in (-1, 1))
+            assert lo <= rep.kernel_dim <= hi
+            if rep.structural is None:
+                # the fallback's phases: energy-orthonormal directions the
+                # complex form cannot see
+                w = rep.kernel_vectors / s[:, None]
+                np.testing.assert_allclose(w.conj().T @ w,
+                                           np.eye(rep.kernel_dim), atol=1e-12)
+                seen = np.linalg.eigvalsh(w.conj().T @ C @ w)
+                assert np.max(np.abs(seen)) <= 2e-14 * beta
+
+
 class TestIngham:
     def test_integer_harmonics_full_period(self):
         direct, inverse = ingham_report(range(-5, 6),
