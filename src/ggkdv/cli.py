@@ -221,7 +221,11 @@ def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     initial = _state_from(cfg.get("initial", "random"), N, rng)
     target = _state_from(cfg.get("target", "zero"), N, rng)
-    plan = hum.solve_control(params, N, x0, T, initial, target, mode)
+    try:
+        system = hum.assemble_lambda(params, N, x0, T, mode)
+    except ValueError as exc:  # the horizon overflows the operator
+        raise ConfigError(str(exc)) from exc
+    plan = hum.solve_control(params, N, x0, T, initial, target, mode, system)
     error = hum.verify_roundtrip(params, N, plan, initial, target)
     _write_json(out / "plan.json", {
         "mode": mode, "N": N, "x0": x0, "T": T,

@@ -5,6 +5,8 @@ pointwise traces, so every entry is a closed-form exponential integral.
 Steering between arbitrary states reduces to a null-control solve of the
 defect ``initial - free-backward-evolved target`` against that matrix;
 controls come out as exponential sums built from the adjoint solution.
+The solves factor the real symmetric R of ``Lambda = D R D^H``, D a
+diagonal of phases, and refine against the complex Lambda.
 """
 
 from __future__ import annotations
@@ -33,21 +35,39 @@ _CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 @dataclass(frozen=True, eq=False)
 class _Factorization:
-    """What every solve against one system shares."""
+    """What every solve against one system shares: the real ``Q^T R Q``,
+    Q the complement basis in single modes and the identity in mode both."""
 
-    basis: np.ndarray | None   # complement basis P of single modes
-    matrix: np.ndarray         # the solved matrix: Lambda, or P^H Lambda P
-    vals: np.ndarray           # its eigenvalues, ascending
+    lift: np.ndarray           # D Q y = lift * y[src]
+    basis: tuple | None        # (src, keep, a, b) of Q, see _complement_basis
+    vals: np.ndarray           # eigenvalues of Q^T R Q, ascending
     cond: float
-    cho: tuple | None          # Cholesky factor; None when ill-conditioned
+    cho: tuple | None          # its Cholesky factor; None when ill-conditioned
+    matrix_hi: np.ndarray | None  # Lambda in extended precision
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Q^T D^H x."""
+        return _gather(np.conj(self.lift) * x, self.basis)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """D Q (Q^T R Q)^-1 Q^T D^H b, as two real right-hand sides."""
+        import scipy.linalg
+        z, _ = scipy.linalg.lapack.dpotrs(
+            self.cho[0], self.reduce(b).view(float).reshape(-1, 2),
+            lower=self.cho[1])
+        y = z[:, 0] + 1j * z[:, 1]
+        return self.lift * (y if self.basis is None else y[self.basis[0]])
 
 
 @dataclass(eq=False)
 class HumSystem:
     """The control operator in adjoint eigen-coordinates.
 
-    The eigenvalues and the factorization used by ``solve_control`` are
-    computed once, on first use; ``matrix`` must not change after that.
+    x0 and the horizon's centre enter ``matrix`` only through the phases
+    ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R real
+    symmetric.  The eigenvalues and the Cholesky factor of R (of Q^T R Q
+    in single modes) used by ``solve_control`` are computed once, on first
+    use; ``matrix`` must not change after that.
     """
 
     params: PhysicalParams
@@ -70,28 +90,38 @@ class HumSystem:
         the structural kernel direction in single modes."""
         return self._factorization.cond
 
+    def _real_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phases, R): the diagonal of D, and R = Re(D^H Lambda D)."""
+        table = spectrum_table(self.params, self.N)
+        phases = np.exp(1j * (np.tile(table.ks, 2) * self.x0
+                              + table.omega.ravel() * (self.T / 2)))
+        R = (np.conj(phases)[:, None] * self.matrix * phases).real
+        return phases, (R + R.T) / 2
+
     @cached_property
     def _full_eigvals(self) -> np.ndarray:
         import scipy.linalg
-        return _read_only(scipy.linalg.eigvalsh(self.matrix))
+        return _read_only(scipy.linalg.eigvalsh(self._real_form()[1]))
 
     @cached_property
     def _factorization(self) -> _Factorization:
         import scipy.linalg
-        if self.constraint is None:
-            basis, lam = None, self.matrix
-        else:
-            basis = _complement_basis(self.constraint)
-            lam = basis.conj().T @ self.matrix @ basis
-        vals = _read_only(scipy.linalg.eigvalsh(lam))
+        lift, R = self._real_form()
+        basis = None
+        if self.constraint is not None:
+            u, basis = _complement_basis(self.constraint)
+            lift = lift * u
+            R = _gather(_gather(u[:, None] * R * u, basis).T, basis)
+        vals = _read_only(scipy.linalg.eigvalsh(R))
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
         cho = None
         if cond <= COND_LIMIT:
             try:
-                cho = scipy.linalg.cho_factor(lam)
+                cho = scipy.linalg.cho_factor(R)
             except np.linalg.LinAlgError:
                 cond = np.inf
-        return _Factorization(basis, lam, vals, cond, cho)
+        hi = None if cho is None else self.matrix.astype(np.clongdouble)
+        return _Factorization(lift, basis, vals, cond, cho, hi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -134,6 +164,7 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     The quadratic form of a seed equals ``integral_0^T`` of the squared
     observed adjoint traces; in single-control modes only the matching
     trace contributes and the structural k=0 kernel direction is recorded.
+    Raises ValueError for a horizon at which the closed forms overflow.
     """
     if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -141,38 +172,50 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         raise ValueError("horizon must be positive")
     table = spectrum_table(params, N)
     amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
-    lam = trace_gram(amps, table.omega.ravel(), 0.0, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = trace_gram(amps, table.omega.ravel(), 0.0, T)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"horizon T={T:g} overflows the control operator")
     return HumSystem(params, N, x0, T, mode, table.labels, lam,
                      _kernel_direction(N, mode))
 
 
-def _complement_basis(kernel: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a unit vector."""
-    import scipy.linalg
+def _complement_basis(kernel: np.ndarray) -> tuple:
+    """Real orthonormal basis Q of the complement of a kernel direction
+    ``(e_a + sign e_b)/sqrt2``: ``(e_a - sign e_b)/sqrt2`` in column a, the
+    other e_j in order; as ``u[j] = Q[j, src[j]]`` and ``(src, keep, a, b)``."""
     n = len(kernel)
-    Q = scipy.linalg.null_space(kernel[None, :].conj())
-    assert Q.shape == (n, n - 1)
-    return Q
+    a, b = np.flatnonzero(kernel)
+    u = np.ones(n)
+    u[[a, b]] = kernel[a].real, -kernel[b].real
+    return u, (np.insert(np.arange(n - 1), b, a), np.delete(np.arange(n), b),
+               a, b)
 
 
-def _refined_solve(A: np.ndarray, cf, b: np.ndarray) -> np.ndarray:
-    """Hermitian PD solve with mixed-precision iterative refinement.
+def _gather(t: np.ndarray, basis: tuple | None) -> np.ndarray:
+    """``Q^T x`` for ``t = u x``: rows summed by column of Q."""
+    if basis is None:
+        return t
+    _, keep, a, b = basis
+    y = t[keep]
+    y[a] += t[b]
+    return y
 
-    The factorization ``cf`` of A is double precision; residuals are
-    accumulated in extended precision so the refinement keeps converging
-    even when the condition number approaches 1/eps (windows near the
-    critical time).
+
+def _refined_solve(fac: _Factorization, b: np.ndarray) -> np.ndarray:
+    """Solve of ``Lambda s = b`` on the range of D Q, refined in mixed
+    precision: corrections from the double real factor, residuals in
+    extended precision against the complex Lambda over [0, T] (the closed
+    forms ``forced_evolve`` shares), so the refinement converges even when
+    the condition number approaches 1/eps (windows near the critical time).
     """
-    import scipy.linalg
-    A_hi = A.astype(np.clongdouble)
     b_hi = b.astype(np.clongdouble)
-    x = scipy.linalg.cho_solve(cf, b).astype(np.clongdouble)
+    x = fac.solve(b).astype(np.clongdouble)
     for _ in range(6):
-        r = b_hi - A_hi @ x
-        corr = scipy.linalg.cho_solve(cf, r.astype(complex))
+        r = b_hi - fac.matrix_hi @ x
+        corr = fac.solve(r.astype(complex))
         x = x + corr
-        if np.linalg.norm(corr.astype(complex)) <= 1e-16 * np.linalg.norm(
-                x.astype(complex)):
+        if np.linalg.norm(corr) <= 1e-16 * np.linalg.norm(x.astype(complex)):
             break
     return x.astype(complex)
 
@@ -215,6 +258,8 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
         system = assemble_lambda(params, N, x0, T, mode)
     defect = initial - evolve(params, target, -T)
     rhs = _duality_rhs(params, defect)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("initial and target states must be finite")
 
     fac = system._factorization
     what = "control operator" if fac.basis is None else \
@@ -223,10 +268,8 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
         raise IllConditioned(
             f"{what} condition number exceeds 1e14; increase T or reduce N",
             condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
-    if fac.basis is not None:
-        rhs = fac.basis.conj().T @ rhs
-    s = _refined_solve(fac.matrix, fac.cho, rhs)
-    rhs_norm = np.linalg.norm(rhs)
+    s = _refined_solve(fac, rhs)
+    rhs_norm = np.linalg.norm(fac.reduce(rhs))
     est = 0.0 if rhs_norm == 0 else float(
         np.finfo(float).eps * fac.vals[-1] * np.linalg.norm(s) / rhs_norm)
     if est > ERROR_EST_LIMIT:
@@ -236,8 +279,6 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
             "data; increase T or steer between states the controls reach "
             "at moderate cost",
             condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
-    if fac.basis is not None:
-        s = fac.basis @ s
 
     # f = -conj(phi(., x0)), g = -conj(psi(., x0)) of the adjoint solution
     # seeded with conj(s)

@@ -1,11 +1,15 @@
 """Importing ggkdv keeps OpenBLAS at one thread unless the user set a count,
 so results do not depend on the machine's core count."""
 
+import ctypes
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ggkdv
 
@@ -52,3 +56,21 @@ def test_observe_bytes_independent_of_default(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written.append((tmp_path / label / "observability.csv").read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("package, symbol", [
+    ("numpy", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_get_num_threads"),
+])
+def test_suite_runs_one_blas_thread(package, symbol):
+    # reads the thread count of the OpenBLAS the package bundles; the root
+    # conftest imports ggkdv before any test module loads numpy or scipy
+    module = importlib.import_module(package + ".linalg")
+    libs = Path(module.__file__).resolve().parents[2] / f"{package}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        get_num_threads = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if get_num_threads is not None:
+            get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+            assert get_num_threads() == 1
+            return
+    pytest.skip(f"no {symbol} in {package}'s bundled libraries")

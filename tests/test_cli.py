@@ -137,6 +137,8 @@ class TestErrors:
         ("control", {"initial": [[0.0, 0.0]] * 25 + ["x"]}),
         ("observe", {"preset": ["generic"]}),
         ("observe", {"preset": {"a": 1}}),
+        # the closed-form control operator overflows
+        ("control", {"N": 6, "T": 1e200}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,

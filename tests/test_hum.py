@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from ggkdv.errors import ConstraintViolation, IllConditioned
 from ggkdv.hum import (
     ERROR_EST_LIMIT,
+    _complement_basis,
+    _gather,
     assemble_lambda,
     bilinear_pairing,
     control_cost,
@@ -52,6 +54,16 @@ def match_u_mean(params, state, target_mean):
     z1 = table.z[0, col, 0]  # equals 2ac on both branches
     current = u_mean(params, out)
     out.coeffs[0, col] += (target_mean - current) / (2 * np.pi * z1)
+    return out
+
+
+def match_v_mean(params, state, target_mean):
+    """Adjust the k=0 plus coefficient so the v-mean hits target_mean."""
+    out = state.copy()
+    table = spectrum_table(params, state.N)
+    col = state.N
+    out.coeffs[0, col] += (target_mean - v_mean(params, out)) / (
+        2 * np.pi * table.z[0, col, 1])
     return out
 
 
@@ -100,6 +112,72 @@ class TestAssembleLambda:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             assemble_lambda(GENERIC, 4, 0.0, 1.0, "h_only")
+
+
+class TestRealFactorization:
+    """Lambda = D R D^H: the solves factor the real R, restricted in single
+    modes to the closed-form real complement of the kernel direction."""
+
+    @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
+    @pytest.mark.parametrize("x0", [0.0, 0.9365, 2.5])
+    @pytest.mark.parametrize("N", [6, 16, 64])
+    @pytest.mark.parametrize("preset", ["generic", "resonant"])
+    def test_spectrum_matches_complex_lambda(self, preset, N, x0, mode):
+        params = PRESETS[preset]
+        T = 1.0 if preset == "generic" else 1.2 * critical_time(params)
+        system = assemble_lambda(params, N, x0, T, mode)
+        eps = np.finfo(float).eps
+        ref = scipy.linalg.eigvalsh(system.matrix)
+        vals = system.eigvals()
+        assert vals[-1] == pytest.approx(ref[-1], rel=1e-14)
+        assert np.max(np.abs(vals - ref)) <= 32 * eps * ref[-1]
+        if mode != "both":
+            P = scipy.linalg.null_space(system.constraint[None, :].conj())
+            ref = scipy.linalg.eigvalsh(P.conj().T @ system.matrix @ P)
+            vals = system._factorization.vals
+            assert np.max(np.abs(vals - ref)) <= 32 * eps * ref[-1]
+        # an error of 32 eps beta in alpha is 32 eps cond relative to alpha
+        cond = ref[-1] / ref[0]
+        assert system.condition_number() == pytest.approx(
+            cond, rel=64 * eps * cond)
+
+    @pytest.mark.parametrize("mode", ["f_only", "g_only"])
+    @pytest.mark.parametrize("N", [0, 3, 16])
+    def test_complement_orthonormal(self, N, mode):
+        system = assemble_lambda(RESONANT, N, 0.9365, 1.0, mode)
+        u, basis = _complement_basis(system.constraint)
+        n = len(system.constraint)
+        Q = u[:, None] * np.eye(n - 1)[basis[0]]
+        assert np.max(np.abs(Q.T @ Q - np.eye(n - 1))) <= 1e-15
+        assert np.max(np.abs(system.constraint.conj() @ Q)) <= 1e-15
+        # the index form of Q^T x agrees with the matrix
+        x = np.random.default_rng(N).standard_normal((n, 3))
+        assert np.max(np.abs(_gather(u[:, None] * x, basis) - Q.T @ x)) \
+            <= 1e-15 * np.max(np.abs(x))
+
+    def test_resonant_roundtrip_digits(self):
+        # refinement residuals against the complex Lambda over [0, T], whose
+        # closed forms the Duhamel check shares, keep the round trip at a
+        # few eps; residuals against R put the median here at 6e-15
+        N, T = 32, 1.2 * critical_time(RESONANT)
+        rng = np.random.default_rng(90)
+        errors = []
+        for mode in ("both", "f_only", "g_only"):
+            system = assemble_lambda(RESONANT, N, 0.0, T, mode)
+            for _ in range(10):
+                initial = unit_energy_state(RESONANT, N, rng)
+                target = unit_energy_state(RESONANT, N, rng)
+                if mode == "g_only":
+                    target = match_u_mean(RESONANT, target,
+                                          u_mean(RESONANT, initial))
+                elif mode == "f_only":
+                    target = match_v_mean(RESONANT, target,
+                                          v_mean(RESONANT, initial))
+                plan = solve_control(RESONANT, N, 0.0, T, initial, target,
+                                     mode, system=system)
+                errors.append(verify_roundtrip(RESONANT, N, plan, initial,
+                                               target))
+        assert np.median(errors) <= 2e-15
 
 
 class TestSolveControl:
@@ -216,10 +294,10 @@ class TestSolveControl:
             assert plan.error_estimate <= 0.1 * ERROR_EST_LIMIT
 
     def test_system_factored_once(self, monkeypatch):
-        # repeated solves against one system reuse its eigenvalues,
-        # complement basis and Cholesky factor
+        # repeated solves against one system reuse its eigenvalues and
+        # Cholesky factor
         calls = []
-        for name in ("eigvalsh", "null_space", "cho_factor"):
+        for name in ("eigvalsh", "cho_factor"):
             fn = getattr(scipy.linalg, name)
             monkeypatch.setattr(
                 scipy.linalg, name,
@@ -234,7 +312,7 @@ class TestSolveControl:
                                        system=system)
             solve_control(GENERIC, N, 0.0, T, initial, ModalState.zeros(N),
                           "f_only", system=system)
-        assert sorted(calls) == ["cho_factor", "eigvalsh", "null_space"]
+        assert sorted(calls) == ["cho_factor", "eigvalsh"]
 
     def test_negative_horizon_rejected(self):
         # a Gram over (T, 0) has the opposite sign of the directed Duhamel
@@ -243,6 +321,18 @@ class TestSolveControl:
         initial = ModalState.random(N, np.random.default_rng(3))
         with pytest.raises(ValueError, match="horizon must be positive"):
             solve_control(GENERIC, N, 0.0, -0.7, initial, ModalState.zeros(N))
+
+    def test_overflowing_horizon_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            assemble_lambda(GENERIC, 6, 0.0, 1e200)
+
+    def test_nonfinite_state_rejected(self):
+        # a NaN defect must not come back as a NaN plan
+        N = 4
+        initial = ModalState.random(N, np.random.default_rng(4))
+        initial.coeffs[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_control(GENERIC, N, 0.0, 1.0, initial, ModalState.zeros(N))
 
     def test_g_only_mean_violation_raises(self):
         rng = np.random.default_rng(7)
