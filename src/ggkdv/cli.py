@@ -18,9 +18,6 @@ import numpy as np
 from . import gram, hum, modal, spectral, stabilize
 from .errors import ConstraintViolation, GGKdVError, IllConditioned
 
-COMMANDS = ("spectrum", "gaps", "resonance", "observe", "ingham",
-            "control", "stabilize", "duality")
-
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -86,12 +83,8 @@ def _params_from(cfg: dict) -> spectral.PhysicalParams:
         if not isinstance(preset, str) or preset not in spectral.PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
         return spectral.PRESETS[preset]
-    try:
-        return spectral.PhysicalParams(
-            float(cfg.get("a", 1.0)), float(cfg.get("c", 1.0)),
-            float(cfg.get("d", 1.0)), float(cfg.get("r", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return spectral.PhysicalParams(*(
+        _float(key, cfg.get(key, 1.0), positive=True) for key in "acdr"))
 
 
 def _state_from(spec_val, N: int, rng: np.random.Generator) -> modal.ModalState:
@@ -305,7 +298,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ggkdv", description="coupled-KdV pointwise control experiments")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", type=Path, help="flat JSON config file")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")

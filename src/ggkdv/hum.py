@@ -6,7 +6,8 @@ Steering between arbitrary states reduces to a null-control solve of the
 defect ``initial - free-backward-evolved target`` against that matrix;
 controls come out as exponential sums built from the adjoint solution.
 The solves factor the real symmetric R of ``Lambda = D R D^H``, D a
-diagonal of phases, and refine against the complex Lambda.
+diagonal of phases, on the complement of D v in single-control modes, v the
+structural k=0 kernel direction, and refine against the complex Lambda.
 """
 
 from __future__ import annotations
@@ -35,28 +36,30 @@ _CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 @dataclass(frozen=True, eq=False)
 class _Factorization:
-    """What every solve against one system shares: the real ``Q^T R Q``,
-    Q the complement basis in single modes and the identity in mode both."""
+    """What every solve against one system shares: the real
+    ``R + sigma v v^T``, completed along the unit kernel direction v of
+    single modes (v = 0 in mode both)."""
 
-    lift: np.ndarray           # D Q y = lift * y[src]
-    basis: tuple | None        # (src, keep, a, b) of Q, see _complement_basis
-    vals: np.ndarray           # eigenvalues of Q^T R Q, ascending
+    phases: np.ndarray         # the diagonal of D
+    kernel: np.ndarray         # v
+    vals: np.ndarray           # eigenvalues of the completed R, ascending
     cond: float
     cho: tuple | None          # its Cholesky factor; None when ill-conditioned
     matrix_hi: np.ndarray | None  # Lambda in extended precision
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        """Q^T D^H x."""
-        return _gather(np.conj(self.lift) * x, self.basis)
+        """D^H x without its v component."""
+        y = np.conj(self.phases) * x
+        return y - self.kernel * (self.kernel @ y)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """D Q (Q^T R Q)^-1 Q^T D^H b, as two real right-hand sides."""
+        """D R^+ D^H b on the complement of D v, as two real right-hand
+        sides."""
         import scipy.linalg
         z, _ = scipy.linalg.lapack.dpotrs(
             self.cho[0], self.reduce(b).view(float).reshape(-1, 2),
             lower=self.cho[1])
-        y = z[:, 0] + 1j * z[:, 1]
-        return self.lift * (y if self.basis is None else y[self.basis[0]])
+        return self.phases * (z[:, 0] + 1j * z[:, 1])
 
 
 @dataclass(eq=False)
@@ -65,9 +68,10 @@ class HumSystem:
 
     x0 and the horizon's centre enter ``matrix`` only through the phases
     ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R real
-    symmetric.  The eigenvalues and the Cholesky factor of R (of Q^T R Q
-    in single modes) used by ``solve_control`` are computed once, on first
-    use; ``matrix`` must not change after that.
+    symmetric.  The eigenvalues and the Cholesky factor of R (completed
+    along the kernel direction in single modes) used by ``solve_control``
+    are computed once, on first use; ``matrix`` must not change after
+    that.
     """
 
     params: PhysicalParams
@@ -106,12 +110,13 @@ class HumSystem:
     @cached_property
     def _factorization(self) -> _Factorization:
         import scipy.linalg
-        lift, R = self._real_form()
-        basis = None
-        if self.constraint is not None:
-            u, basis = _complement_basis(self.constraint)
-            lift = lift * u
-            R = _gather(_gather(u[:, None] * R * u, basis).T, basis)
+        phases, R = self._real_form()
+        n = len(R)
+        v = np.zeros(n) if self.constraint is None else self.constraint
+        # R's k=0 columns are equal or opposite, so R v = 0 and the
+        # completion's eigenvalue sigma, the mean of the others, keeps the
+        # extremes, the condition number and the solve on the complement
+        R += np.trace(R) / (n - 1) * np.outer(v, v)
         vals = _read_only(scipy.linalg.eigvalsh(R))
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
         cho = None
@@ -121,7 +126,7 @@ class HumSystem:
             except np.linalg.LinAlgError:
                 cond = np.inf
         hi = None if cho is None else self.matrix.astype(np.clongdouble)
-        return _Factorization(lift, basis, vals, cond, cho, hi)
+        return _Factorization(phases, v, vals, cond, cho, hi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -142,19 +147,15 @@ class ControlPlan:
 
 
 def _kernel_direction(N: int, mode: str) -> np.ndarray | None:
-    """Structural unobservable adjoint direction at k=0 in single modes."""
+    """Unit structural unobservable adjoint direction at k=0 in single
+    modes: the phi-trace 2d(q+ + q-) vanishes on q+ = -q-, the psi-trace
+    sqrt(4acd)(q+ - q-) on q+ = q-."""
     if mode == "both":
         return None
-    v = np.zeros(2 * (2 * N + 1), dtype=complex)
-    plus0 = N                  # (k=0, plus) in the flattened ordering
-    minus0 = (2 * N + 1) + N
-    if mode == "f_only":
-        # phi-trace 2d(q+ + q-) vanishes on q+ = -q-
-        v[plus0], v[minus0] = 1.0, -1.0
-    else:
-        # psi-trace sqrt(4acd)(q+ - q-) vanishes on q+ = q-
-        v[plus0], v[minus0] = 1.0, 1.0
-    return v / np.linalg.norm(v)
+    v = np.zeros(2 * (2 * N + 1))
+    v[[N, 3 * N + 1]] = np.array([1.0, -1.0 if mode == "f_only" else 1.0]) \
+        / np.sqrt(2)
+    return v
 
 
 def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
@@ -180,30 +181,8 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
                      _kernel_direction(N, mode))
 
 
-def _complement_basis(kernel: np.ndarray) -> tuple:
-    """Real orthonormal basis Q of the complement of a kernel direction
-    ``(e_a + sign e_b)/sqrt2``: ``(e_a - sign e_b)/sqrt2`` in column a, the
-    other e_j in order; as ``u[j] = Q[j, src[j]]`` and ``(src, keep, a, b)``."""
-    n = len(kernel)
-    a, b = np.flatnonzero(kernel)
-    u = np.ones(n)
-    u[[a, b]] = kernel[a].real, -kernel[b].real
-    return u, (np.insert(np.arange(n - 1), b, a), np.delete(np.arange(n), b),
-               a, b)
-
-
-def _gather(t: np.ndarray, basis: tuple | None) -> np.ndarray:
-    """``Q^T x`` for ``t = u x``: rows summed by column of Q."""
-    if basis is None:
-        return t
-    _, keep, a, b = basis
-    y = t[keep]
-    y[a] += t[b]
-    return y
-
-
 def _refined_solve(fac: _Factorization, b: np.ndarray) -> np.ndarray:
-    """Solve of ``Lambda s = b`` on the range of D Q, refined in mixed
+    """Solve of ``Lambda s = b`` on the complement of D v, refined in mixed
     precision: corrections from the double real factor, residuals in
     extended precision against the complex Lambda over [0, T] (the closed
     forms ``forced_evolve`` shares), so the refinement converges even when
@@ -262,7 +241,7 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
         raise ValueError("initial and target states must be finite")
 
     fac = system._factorization
-    what = "control operator" if fac.basis is None else \
+    what = "control operator" if system.constraint is None else \
         "restricted control operator"
     if fac.cho is None:
         raise IllConditioned(

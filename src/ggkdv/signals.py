@@ -48,8 +48,9 @@ def exp_poly_integral(z, m, t0: float, t1: float):
     if series.all():
         out = _series(w, m, t0, t1)
     elif series.any():
-        # w = 1 keeps the closed form finite where the series takes over
-        out = _closed_form(np.where(series, 1.0, w), m, t0, t1)
+        # w = i keeps the closed form finite where the series takes over,
+        # at any horizon: |e^{it}| = 1
+        out = _closed_form(np.where(series, 1j, w), m, t0, t1)
         out[series] = _series(w[series], m[series], t0, t1)
     else:
         out = _closed_form(w, m, t0, t1)

@@ -84,6 +84,18 @@ class TestControl:
         err = float(verify[1].split(",")[-1])
         assert err <= 1e-8
 
+    def test_long_horizon_quiet(self, tmp_path):
+        # no overflow warning from the closed forms at T far past 709.8
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"preset": "generic", "N": 6, "T": 1e20}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ggkdv.cli", "control", "--quiet",
+             "--config", str(cfg), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "plan.json").exists()
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -139,6 +151,10 @@ class TestErrors:
         ("observe", {"preset": {"a": 1}}),
         # the closed-form control operator overflows
         ("control", {"N": 6, "T": 1e200}),
+        ("observe", {"preset": None, "a": math.inf}),
+        ("spectrum", {"preset": None, "d": math.nan}),
+        ("spectrum", {"preset": None, "a": "2"}),
+        ("spectrum", {"preset": None, "c": True}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,

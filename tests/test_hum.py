@@ -8,8 +8,6 @@ from scipy.integrate import quad
 from ggkdv.errors import ConstraintViolation, IllConditioned
 from ggkdv.hum import (
     ERROR_EST_LIMIT,
-    _complement_basis,
-    _gather,
     assemble_lambda,
     bilinear_pairing,
     control_cost,
@@ -29,7 +27,7 @@ from ggkdv.modal import (
     v_mean,
 )
 from ggkdv.signals import ExponentialSignal
-from ggkdv.spectral import PRESETS, critical_time, spectrum_table
+from ggkdv.spectral import PRESETS, PhysicalParams, critical_time, spectrum_table
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
@@ -115,8 +113,9 @@ class TestAssembleLambda:
 
 
 class TestRealFactorization:
-    """Lambda = D R D^H: the solves factor the real R, restricted in single
-    modes to the closed-form real complement of the kernel direction."""
+    """Lambda = D R D^H: the solves factor the real R, completed in single
+    modes along the kernel direction v by sigma v v^T, sigma = trace(R) /
+    (n - 1) the mean of the other eigenvalues."""
 
     @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
     @pytest.mark.parametrize("x0", [0.0, 0.9365, 2.5])
@@ -135,25 +134,32 @@ class TestRealFactorization:
             P = scipy.linalg.null_space(system.constraint[None, :].conj())
             ref = scipy.linalg.eigvalsh(P.conj().T @ system.matrix @ P)
             vals = system._factorization.vals
-            assert np.max(np.abs(vals - ref)) <= 32 * eps * ref[-1]
+            completed = np.sort(np.append(ref, ref.mean()))
+            assert np.max(np.abs(vals - completed)) <= 32 * eps * ref[-1]
         # an error of 32 eps beta in alpha is 32 eps cond relative to alpha
         cond = ref[-1] / ref[0]
         assert system.condition_number() == pytest.approx(
             cond, rel=64 * eps * cond)
 
-    @pytest.mark.parametrize("mode", ["f_only", "g_only"])
-    @pytest.mark.parametrize("N", [0, 3, 16])
-    def test_complement_orthonormal(self, N, mode):
-        system = assemble_lambda(RESONANT, N, 0.9365, 1.0, mode)
-        u, basis = _complement_basis(system.constraint)
-        n = len(system.constraint)
-        Q = u[:, None] * np.eye(n - 1)[basis[0]]
-        assert np.max(np.abs(Q.T @ Q - np.eye(n - 1))) <= 1e-15
-        assert np.max(np.abs(system.constraint.conj() @ Q)) <= 1e-15
-        # the index form of Q^T x agrees with the matrix
-        x = np.random.default_rng(N).standard_normal((n, 3))
-        assert np.max(np.abs(_gather(u[:, None] * x, basis) - Q.T @ x)) \
-            <= 1e-15 * np.max(np.abs(x))
+    @pytest.mark.parametrize("N", [0, 1, 3, 16, 64])
+    @pytest.mark.parametrize("params", [
+        GENERIC, RESONANT, PhysicalParams(0.37, 2.2, 1.3, 0.8)],
+        ids=["generic", "resonant", "custom"])
+    def test_kernel_columns_exact(self, params, N):
+        # the completion needs R v = 0: Lambda's and R's k=0 columns are
+        # equal (f_only) or opposite (g_only) bit for bit.  R @ v itself is
+        # not asserted, since a fused multiply-add can leave 1e-17 in it
+        T0 = critical_time(RESONANT)
+        for mode in ("f_only", "g_only"):
+            for x0 in (0.0, 0.9365, 2.5):
+                for T in (0.3, 1.0, 1.2 * T0):
+                    system = assemble_lambda(params, N, x0, T, mode)
+                    v = system.constraint
+                    a, b = np.flatnonzero(v)
+                    sign = -v[b] / v[a]
+                    R = system._real_form()[1]
+                    for M in (system.matrix, R):
+                        assert np.array_equal(M[:, a], sign * M[:, b])
 
     def test_resonant_roundtrip_digits(self):
         # refinement residuals against the complex Lambda over [0, T], whose

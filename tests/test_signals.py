@@ -46,6 +46,13 @@ class TestExpPolyIntegral:
         want = quad_integral(lambda t: t * np.exp(1j * z * t), 0.0, 2.0)
         assert abs(got - want) <= 1e-10
 
+    def test_long_horizon_no_overflow(self):
+        # the series entry's placeholder must not overflow e^{w t1}
+        with np.errstate(all="raise"):
+            got = exp_poly_integral(np.array([0.0, 1.0]), 0, 0.0, 1e20)
+        assert got[0] == 1e20
+        assert abs(got[1]) <= 2.0
+
     def test_directed_reversal(self):
         z = 2.7
         fwd = exp_poly_integral(z, 0, 0.0, 1.5)
