@@ -39,6 +39,15 @@ class ConfigError(Exception):
     pass
 
 
+#: Every config key that some command reads; any other key is a typo.
+#: ``preset`` and ``seed`` are also set by the global flags.
+_KEYS = frozenset({
+    "preset", "seed", "a", "c", "d", "r", "N", "ns", "mode", "x0", "tol",
+    "window_length", "window_lengths", "frequencies", "freq_min",
+    "freq_max", "t0", "t1", "T", "initial", "target", "omega_target", "Th",
+    "T_sim", "draws"})
+
+
 def _int(key: str, val, minimum: int | None = 0) -> int:
     """An integer config value (integral floats pass), at least ``minimum``."""
     if isinstance(val, float) and val.is_integer():
@@ -316,6 +325,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             if not isinstance(cfg, dict):
                 raise ConfigError("config must be a JSON object")
+            unknown = sorted(set(cfg) - _KEYS)
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r}")
         if args.preset is not None:
             cfg["preset"] = args.preset
         if args.seed is not None:

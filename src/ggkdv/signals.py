@@ -19,6 +19,7 @@ kernel switches to a power series that is exact in the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,12 +159,16 @@ class ExponentialSignal:
             (np.conj(amp), -f, d) for amp, f, d in self.terms
         )
 
+    @cached_property
+    def _stacked(self):
+        """The terms as ``stack_terms`` arrays, built once per signal."""
+        return stack_terms([self])
+
     def evaluate(self, t):
         """Evaluate the signal at scalar or array times."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for amp, freq, degree in self.terms:
-            out += amp * t**degree * np.exp(1j * freq * t)
+        amps, freqs, degrees = self._stacked
+        t = np.asarray(t, dtype=float)[..., None]
+        out = np.sum(amps[0] * t**degrees * np.exp(1j * freqs * t), axis=-1)
         return out if out.shape else complex(out)
 
     def l2_inner(self, other: "ExponentialSignal", t0: float, t1: float) -> complex:

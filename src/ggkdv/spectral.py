@@ -9,6 +9,16 @@ forms; the eigenvectors are real and orthogonal in the weighted product
 This module also provides gap statistics of the two frequency branches,
 an upper-density estimate for the merged family, per-instance resonance
 detection, and the critical observation/control time.
+
+Large-|k| asymptotics, with disc = sqrt(4acd + (c-1)^2): the plus branch
+grows like A k^3, A = (c+1+disc)/(2c).  The minus branch grows like B k^3,
+B = (c+1-disc)/(2c) = 2(1-ad)/(c+1+disc), except on the resonant surface
+a*d = 1, where disc = c+1, the cubic term cancels and
+
+    omega_k^- = -r k/(c+1) + O(1/k).
+
+Its gap then tends to r/(c+1), so Ingham's theorem gives the sharp time
+T0 = 2 pi (c+1)/r.
 """
 
 from __future__ import annotations
@@ -142,12 +152,12 @@ def weighted_inner(params: PhysicalParams, y: np.ndarray, z: np.ndarray) -> comp
 
 
 def critical_time(params: PhysicalParams) -> float:
-    """Minimal window length for inverse observability; positive only in
-    the degenerate regime a*d = 1."""
+    """Minimal window length for inverse observability, 2 pi / (asymptotic
+    minus-branch gap) = 2 pi (c+1)/r; positive only in the degenerate
+    regime a*d = 1 (otherwise every gap grows without bound)."""
     if not params.resonant:
         return 0.0
-    c, r = params.c, params.r
-    return 2 * math.pi * c * (c + 1) / r
+    return 2 * math.pi * (params.c + 1) / params.r
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +248,9 @@ def gap_report(params: PhysicalParams, N: int) -> GapReport:
     disc = math.sqrt(4 * a * c * d + (c - 1) ** 2)
     A_const = (c + 1 + disc) / (2 * c)
     if params.resonant:
-        B_or_slope = -r / (c * (c + 1))
+        B_or_slope = -r / (c + 1)
     else:
-        B_or_slope = 4 * c * (1 - a * d) / (c + 1 + disc)
+        B_or_slope = 2 * (1 - a * d) / (c + 1 + disc)
 
     merged = np.sort(table.omega.ravel())
     span = float(merged[-1] - merged[0])

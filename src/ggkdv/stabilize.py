@@ -9,11 +9,23 @@ feedback ``K = -B^H Lambda_w^{-1}`` built from the weighted Gramian
 whose entries are again closed-form exponential integrals (the weight
 shifts every frequency difference by 2 i w).  The closed loop is then
 verified by matrix-exponential simulation and a decay-rate fit.
+
+Everything after the Gramian runs in the real-field basis: per branch,
+u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2 for k > 0, and
+e_0 as is.  The swap P: k <-> -k sends omega to -omega and each input
+column e^{-ikx0} Z_k to its conjugate (Z_k is real and even in k), so
+P B = conj(B), P Lambda_w P = conj(Lambda_w) and, for the closed-loop
+generator A, P A P = conj(A).  The basis U has conj(U) = P U, so U^H B,
+U^H Lambda_w U and U^H A U are real: the Gramian solve, the free part (a
+block [[0, -omega_k], [omega_k, 0]] on each pair (u_k, v_k)), the matrix
+exponential and the eigenvalues are all real computations.  U is applied
+by index arithmetic over the (k, -k) pairs, never as a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +36,45 @@ from .spectral import (PhysicalParams, critical_time, resonance_check,
                        spectrum_table, trace_amplitudes)
 
 SINGULAR_REL_TOL = 1e-13
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries of the modes k > 0 and of their partners -k,
+    both branches, along the leading axis n = 2(2N+1) of ``a``, ordered
+    as [branch, k+N]."""
+    N = (len(a) // 2 - 1) // 2
+    a = a.reshape(2, 2 * N + 1, *a.shape[1:])
+    return a[:, N + 1:], a[:, :N][:, ::-1]
+
+
+def _to_real(y: np.ndarray) -> np.ndarray:
+    """U^H y over the leading axis: u_k at the index of k, v_k at -k."""
+    z = np.array(y, dtype=complex, order="C")  # C order: _halves are views
+    p, m = _halves(y)
+    zp, zm = _halves(z)
+    zp[...] = (p + m) / np.sqrt(2)
+    zm[...] = (m - p) * (1j / np.sqrt(2))
+    return z
+
+
+def _from_real(z: np.ndarray) -> np.ndarray:
+    """U z over the leading axis, the inverse of ``_to_real``."""
+    y = np.array(z, dtype=complex, order="C")
+    p, m = _halves(z)
+    yp, ym = _halves(y)
+    yp[...] = (p + 1j * m) / np.sqrt(2)
+    ym[...] = (p - 1j * m) / np.sqrt(2)
+    return y
+
+
+def _free_generator(omega: np.ndarray) -> np.ndarray:
+    """U^H diag(i omega) U: a rotation block on each pair (u_k, v_k)."""
+    n = len(omega)
+    p, m = (half.ravel() for half in _halves(np.arange(n)))
+    A = np.zeros((n, n))
+    A[m, p] = omega[p]
+    A[p, m] = -omega[p]
+    return A
 
 
 @dataclass(eq=False)
@@ -41,7 +92,27 @@ class FeedbackGains:
     horizon_Th: float
     F_row: np.ndarray
     G_row: np.ndarray
-    closed_loop: np.ndarray   # generator in orthonormal coordinates
+    real_loop: np.ndarray     # generator in the real-field basis, U^H A U
+
+    @cached_property
+    def closed_loop(self) -> np.ndarray:
+        """The generator A in orthonormal coordinates, U A_r U^H."""
+        return _from_real(_from_real(self.real_loop.T).conj().T)
+
+
+def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
+                      omega_target: float, Th: float):
+    """(omega, scale, B, Lambda_w) in orthonormal coordinates y = scale * c."""
+    table = spectrum_table(params, N)
+    omega = table.omega.ravel()
+    scale = np.sqrt(2 * np.pi * table.norm2).ravel()
+    # a unit control enters mode j through conj(amps[c, j]) w_c / scale_j,
+    # w = (1, ac/d)
+    inputs = (np.conj(trace_amplitudes(params, N, x0))
+              * [[1.0], [params.weight]] / scale)
+    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}
+    lam = trace_gram(inputs, -omega, 0.0, Th, shift=2j * omega_target)
+    return omega, scale, inputs.T, lam
 
 
 def feedback_gains(params: PhysicalParams, N: int, x0: float,
@@ -51,34 +122,25 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
     Requires a horizon beyond the critical time and a resonance-free
     truncated spectrum; raises GramianSingular otherwise.
     """
-    import scipy.linalg
     if omega_target < 0:
         raise ValueError("omega_target must be >= 0")
     if Th <= critical_time(params):
         raise ValueError("horizon must exceed the critical time")
     if resonance_check(params, N, 1e-9).violations:
         raise ValueError("truncated spectrum has resonant pairs")
-    table = spectrum_table(params, N)
-    omega = table.omega.ravel()
-    scale = np.sqrt(2 * np.pi * table.norm2).ravel()
-    # in orthonormal coordinates y = scale * c a unit control enters mode j
-    # through conj(amps[c, j]) w_c / scale_j, w = (1, ac/d)
-    inputs = (np.conj(trace_amplitudes(params, N, x0))
-              * [[1.0], [params.weight]] / scale)
-    B = inputs.T
-    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}
-    lam = trace_gram(inputs, -omega, 0.0, Th, shift=2j * omega_target)
-    vals = scipy.linalg.eigvalsh(lam)
+    omega, scale, B, lam = _weighted_gramian(params, N, x0, omega_target, Th)
+    # U^H Lambda_w U = U^H (U^H Lambda_w)^H, Lambda_w being Hermitian
+    lam_r = _to_real(_to_real(lam).conj().T).real
+    vals = np.linalg.eigvalsh(lam_r)
     if vals[0] <= SINGULAR_REL_TOL * vals[-1]:
         raise GramianSingular("weighted Gramian numerically singular",
                               min_eigenvalue=float(vals[0]))
-    K = -np.linalg.solve(lam, B).conj().T
-    closed_loop = np.diag(1j * omega) + B @ K
-    # rows over modal coefficients: control = K_y y = (K_y * scale) c
-    F_row = K[0] * scale
-    G_row = K[1] * scale
-    return FeedbackGains(params, N, x0, omega_target, Th, F_row, G_row,
-                         closed_loop)
+    B_r = _to_real(B).real
+    K_r = -np.linalg.solve(lam_r, B_r).T
+    # K = K_r U^H; rows over modal coefficients: control = (K * scale) c
+    K = _from_real(K_r.T).conj().T * scale
+    return FeedbackGains(params, N, x0, omega_target, Th, K[0], K[1],
+                         _free_generator(omega) + B_r @ K_r)
 
 
 def zero_gains(params: PhysicalParams, N: int, x0: float,
@@ -88,7 +150,7 @@ def zero_gains(params: PhysicalParams, N: int, x0: float,
     n = len(omega)
     return FeedbackGains(params, N, x0, omega_target, Th,
                          np.zeros(n, dtype=complex), np.zeros(n, dtype=complex),
-                         np.diag(1j * omega))
+                         _free_generator(omega))
 
 
 @dataclass(eq=False)
@@ -101,7 +163,7 @@ class DecayReport:
 
 
 def spectral_abscissa(gains: FeedbackGains) -> float:
-    return float(np.max(np.real(np.linalg.eigvals(gains.closed_loop))))
+    return float(np.max(np.linalg.eigvals(gains.real_loop).real))
 
 
 def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
@@ -109,26 +171,29 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
                          steps: int = 400) -> DecayReport:
     """Energy decay of the closed loop, integrated by matrix exponential
     over uniform steps; the decay rate is fitted on the tail half of the
-    horizon (rate of the state norm, i.e. half the log-energy slope)."""
+    horizon (rate of the state norm, i.e. half the log-energy slope).
+
+    The state z = U^H y is carried as the real columns [Re z, Im z], which
+    the real generator propagates separately."""
     import scipy.linalg
     if T_sim <= 0:
         raise ValueError("T_sim must be positive")
     table = spectrum_table(params, N)
-    scale = np.sqrt(2 * np.pi * table.norm2).ravel()
-    y = state0.coeffs.ravel() * scale
-    dt = T_sim / steps
-    step = scipy.linalg.expm(gains.closed_loop * dt)
+    z = _to_real(state0.coeffs.ravel() * np.sqrt(2 * np.pi * table.norm2).ravel())
+    states = np.empty((steps + 1, len(z), 2))
+    states[0] = np.stack([z.real, z.imag], axis=1)
+    step = scipy.linalg.expm(gains.real_loop * (T_sim / steps))
+    for i in range(steps):
+        np.matmul(step, states[i], out=states[i + 1])
     times = np.linspace(0.0, T_sim, steps + 1)
-    energies = np.empty(steps + 1)
-    e0 = float(np.vdot(y, y).real)
-    norm0 = np.sqrt(e0) if e0 > 0 else 1.0
-    fitted_M = 0.0
-    for i in range(steps + 1):
-        energies[i] = float(np.vdot(y, y).real)
-        bound = np.exp(-0.9 * gains.omega_target * times[i]) * norm0
-        fitted_M = max(fitted_M, np.sqrt(energies[i]) / bound)
-        if i < steps:
-            y = step @ y
+    energies = np.einsum("tjc,tjc->t", states, states)
+    norm0 = np.sqrt(energies[0]) if energies[0] > 0 else 1.0
+    # the overshoot over e^{-0.9 w t} in logs, where neither factor
+    # underflows on long horizons; an energy of 0 gives -inf and bounds
+    # nothing
+    with np.errstate(divide="ignore"):
+        excess = 0.5 * np.log(energies) + 0.9 * gains.omega_target * times
+    fitted_M = float(np.exp(np.max(excess) - np.log(norm0)))
     tail = times >= T_sim / 2
     logs = np.log(np.maximum(energies[tail], 1e-300))
     slope = np.polyfit(times[tail], logs, 1)[0]

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from ggkdv import cli
+from ggkdv.errors import GGKdVError
 from ggkdv.cli import main
 
 
@@ -155,12 +157,51 @@ class TestErrors:
         ("spectrum", {"preset": None, "d": math.nan}),
         ("spectrum", {"preset": None, "a": "2"}),
         ("spectrum", {"preset": None, "c": True}),
+        # keys that no command reads
+        ("stabilize", {"Thh": 3}),
+        ("observe", {"windowlength": 0.5}),
+        ("control", {"t": 1.0}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,
                        config={"preset": "generic", **cfg}) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "stabilize",
+                       config={"preset": "generic", "Thh": 3}) == 4
+        assert capsys.readouterr().err == "config error: unknown key 'Thh'\n"
+        assert not (tmp_path / "stabilize_summary.json").exists()
+
+    def test_key_of_another_command_accepted(self, tmp_path):
+        # one config may serve several commands
+        cfg = {"preset": "generic", "N": 3, "T": 1.0, "target": "zero",
+               "Th": 2.0, "window_length": 0.5}
+        assert run_cli(tmp_path, "spectrum", "--seed", "4", config=cfg) == 0
+
+    def test_known_keys_are_the_keys_read(self, tmp_path):
+        # run every command on an empty config that records what it reads:
+        # each default branch reads every key of its command
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return default
+
+            def __contains__(self, key):
+                read.add(key)
+                return False
+
+        read = set()
+        for name, command in cli._DISPATCH.items():
+            out = tmp_path / name
+            out.mkdir()
+            cfg = Recording()
+            try:
+                command(cfg, cli._params_from(cfg), out, True)
+            except (cli.ConfigError, GGKdVError):
+                pass  # control and stabilize reject the defaults after the reads
+        assert read == cli._KEYS
 
     @pytest.mark.parametrize("command, cfg", [
         # default parameters are resonant: Th=2 is below T0 = 4 pi

@@ -102,6 +102,26 @@ class TestExponentialSignal:
         t = np.linspace(-1, 1, 9)
         assert np.allclose(sig.conjugate().evaluate(t), np.conj(sig.evaluate(t)))
 
+    def test_evaluate_against_term_loop(self):
+        # one np.exp over all terms, against the sum of the terms one by
+        # one; the order of the sum differs, so allow a few ulps of the
+        # largest term
+        rng = np.random.default_rng(7)
+        terms = [(complex(*rng.standard_normal(2)), rng.uniform(-40, 40),
+                  int(rng.integers(0, 2))) for _ in range(30)]
+        terms.append(terms[0])  # a repeated key, as a raw tuple may hold
+        sig = ExponentialSignal(tuple(terms))
+        t = np.linspace(-3.0, 3.0, 41)
+        want = sum(amp * t**deg * np.exp(1j * f * t) for amp, f, deg in terms)
+        bound = 1e-14 * sum(abs(amp) * 3.0**deg for amp, _, deg in terms)
+        assert np.max(np.abs(sig.evaluate(t) - want)) <= bound
+        got = sig.evaluate(0.7)
+        assert isinstance(got, complex)
+        assert abs(got - complex(sum(amp * 0.7**deg * np.exp(0.7j * f)
+                                     for amp, f, deg in terms))) <= bound
+        assert ExponentialSignal.zero().evaluate(0.7) == 0
+        assert ExponentialSignal.zero().evaluate(t).shape == t.shape
+
     def test_l2_inner_against_quadrature(self):
         rng = np.random.default_rng(2)
         terms1 = [(complex(*rng.standard_normal(2)), rng.uniform(-10, 10),

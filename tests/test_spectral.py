@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ggkdv.gram import ObservationWindow, observability_constants
 from ggkdv.spectral import (
     PRESETS,
     Branch,
@@ -264,8 +265,43 @@ class TestCriticalTime:
         assert critical_time(RESONANT) == pytest.approx(4 * math.pi)
 
     def test_scaled_quadruple(self):
+        # 2 pi (c+1)/r: the minus-branch gap of this quadruple tends to
+        # r/(c+1) = pi/3 (its frequencies at k = 400 give 6.00001)
         p = PhysicalParams(0.5, 2.0, 2.0, math.pi)
-        assert critical_time(p) == pytest.approx(12.0)
+        assert critical_time(p) == pytest.approx(6.0)
+
+
+# resonant quadruples (a*d = 1) with c != 1, where c enters the sharp time
+SHARP_CASES = [PhysicalParams(0.5, 2.0, 2.0, 3.0),
+               PhysicalParams(1.0, 0.5, 1.0, 2.0),
+               PhysicalParams(1.0, 3.0, 1.0, 1.0)]
+
+
+class TestSharpTime:
+    @pytest.mark.parametrize("p", SHARP_CASES)
+    def test_critical_time_is_ingham_time_of_the_spectrum(self, p):
+        gap = eigenfrequencies(p, 401)[1] - eigenfrequencies(p, 400)[1]
+        assert gap_report(p, 10).B_or_slope == pytest.approx(gap, rel=1e-5)
+        assert critical_time(p) == pytest.approx(2 * math.pi / abs(gap), rel=1e-5)
+
+    @pytest.mark.parametrize("p", SHARP_CASES)
+    def test_observability_threshold(self, p):
+        # below T0 alpha collapses as N grows; above T0 it stays put
+        T0 = critical_time(p)
+
+        def alpha(N, T):
+            return observability_constants(p, N, 0.0,
+                                           ObservationWindow(0.0, T)).alpha
+
+        assert alpha(64, 0.9 * T0) <= 1e-8 * alpha(8, 0.9 * T0)
+        assert alpha(64, 1.1 * T0) >= 0.5 * alpha(8, 1.1 * T0)
+
+    @pytest.mark.parametrize("p", [PRESETS["generic"],
+                                   PhysicalParams(0.37, 2.2, 1.3, 0.8)])
+    def test_minus_branch_cubic_slope(self, p):
+        k = 4000
+        slope = eigenfrequencies(p, k)[1] / k**3
+        assert gap_report(p, 10).B_or_slope == pytest.approx(slope, rel=1e-6)
 
 
 class TestSpectrumTable:
