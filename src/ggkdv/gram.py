@@ -6,6 +6,9 @@ are their extreme generalized eigenvalues against the (diagonal) energy
 form.  The observation point and the window's centre enter those forms
 only through a diagonal of phases, so the constants are the eigenvalues
 of one real symmetric matrix and do not depend on the observation point.
+That matrix commutes with the swap k <-> -k (the frequencies are odd in
+k, the amplitudes even), so it is solved as two real parity blocks of
+half the size, built over the modes k >= 0 and never assembled whole.
 ``divided_difference_constants`` gives the Riesz bounds of the merged
 frequency family, whose cross-branch members cluster in pairs, in the
 Newton divided-difference coordinates of the single-trace proof; in
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import exp_kernel
-from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
+from .spectral import (PhysicalParams, _from_real, _halves, spectrum_table,
+                       trace_amplitudes)
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -63,22 +67,33 @@ class ObservabilityReport:
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
     labels: tuple = field(repr=False)
-    # the structural kernel basis, or else the real folded form C = S R S
-    # and the scaling D S of its eigenvectors; each is None when the other
-    # is set
+    # the structural kernel basis, or else the parity blocks (C+, C-) of the
+    # real folded form C = S R S and the scaling D S of its eigenvectors;
+    # each is None when the other is set
     structural: np.ndarray | None = field(repr=False)
-    C: np.ndarray | None = field(repr=False)
+    blocks: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
     scale: np.ndarray | None = field(repr=False)
 
     @cached_property
     def kernel_vectors(self) -> np.ndarray:
         """Kernel basis, one column per kernel dimension: the structural one,
         or, when roundoff adds kernel eigenvalues the structure does not
-        explain, scale times the eigenvectors of C, computed on first read."""
+        explain, scale times the eigenvectors of C of the kernel_dim
+        smallest eigenvalues, computed on first read from the two blocks
+        and lifted by U."""
         if self.structural is not None:
             return self.structural
-        vecs = np.linalg.eigh(self.C)[1]
-        return self.scale[:, None] * vecs[:, :self.kernel_dim]
+        (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, self.blocks)
+        pick = np.argsort(np.r_[vals_p, vals_m], kind="stable")[:self.kernel_dim]
+        plus = pick < len(vals_p)
+        m, N = self.kernel_dim, len(vals_m) // 2
+        z = np.zeros((len(self.scale), m))
+        # u_k (and e_0) at the index of k >= 0, v_k at the index of -k
+        z.reshape(2, 2 * N + 1, m)[:, N:, plus] = \
+            vecs_p.reshape(2, N + 1, -1)[..., pick[plus]]
+        _halves(z)[1][..., ~plus] = \
+            vecs_m.reshape(2, N, 2 * N)[..., pick[~plus] - len(vals_p)]
+        return self.scale[:, None] * _from_real(z)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -96,6 +111,15 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     window's centre t_c enter only as ``D = diag(e^{i(k x0 + omega t_c)})``
     in the form ``D C D^H``, so the eigenvalues are those of the real C,
     independent of x0, and eigenvectors map back by ``scale = D S``.
+
+    C is never formed.  Its entries are ``A_ij K(omega_i - omega_j)`` with
+    ``A = sum_c a_c a_c^T`` over the observed channels and the even kernel
+    ``K(delta) = 2 sin(delta h) / delta``; omega is odd and A even under the
+    swap P: k <-> -k, so P C P = C and the real-field basis U splits C into
+    C+ over the u_k and e_0, and C- over the v_k.  Both run over the modes
+    k >= 0 only, with entries ``A_ij [K(omega_i - omega_j) +- K(omega_i +
+    omega_j)]``, the rows and columns of k = 0 scaled by 1/sqrt2 in C+; the
+    eigenvalues of C are those of the two blocks together.
     """
     if mode not in ("both", "u_only", "v_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -104,10 +128,8 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     norm = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
     h = window.length / 2
     z = trace_amplitudes(params, N, 0.0).real  # real at x0 = 0
-    # the integral over [-h, h] is twice the real part of the one over
-    # [0, h], where the kernel spares an exponential
-    C = 2 * trace_gram(_observed(*z, mode) * norm, omega, 0.0, h).real
-    vals = np.linalg.eigvalsh(C)
+    blocks = _parity_blocks(_observed(*z, mode) * norm, omega, h)
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
@@ -121,7 +143,33 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     ks = np.tile(table.ks, 2)
     scale = np.exp(1j * (ks * x0 + omega * (window.t0 + h))) * norm
     return ObservabilityReport(alpha, beta, kernel_dim, vals, table.labels,
-                               None, C, scale)
+                               None, blocks, scale)
+
+
+def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C+, C-): the blocks of the real form ``sum_c a_c a_c^T *
+    K(omega_i - omega_j)`` in the real-field basis, for amplitude rows even
+    and frequencies odd in k; C+ runs over [branch, k] for k >= 0, C- for
+    k > 0."""
+    N = (len(omega) // 2 - 1) // 2
+    k = np.tile(np.arange(N + 1), 2)
+    w = omega.reshape(2, 2 * N + 1)[:, N:].ravel()
+    a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].reshape(len(amps), -1)
+    # e_0 has no partner, which the pair entries count twice
+    a = np.where(k == 0, a / np.sqrt(2), a)
+    A = sum(np.outer(row, row) for row in a)
+    diff = _centred_kernel(w[:, None] - w, h)
+    summ = _centred_kernel(w[:, None] + w, h)
+    plus = A * (diff + summ)
+    minus = (A * (diff - summ))[np.ix_(k > 0, k > 0)]
+    return plus, minus
+
+
+def _centred_kernel(delta, h: float):
+    """``K(delta) = integral_{-h}^{h} e^{i delta t} dt = 2 sin(delta h) /
+    delta``, real, even, exact at delta = 0 and free of cancellation near
+    it, so it needs no series branch."""
+    return 2 * h * np.sinc(delta * (h / np.pi))
 
 
 def _observed(u_amp, v_amp, mode) -> np.ndarray:

@@ -218,6 +218,44 @@ def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
     return (np.moveaxis(z, 2, 0) * phase).reshape(2, -1)
 
 
+# The real-field basis U pairs each mode with its partner -k on the same
+# branch: u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2 for k > 0,
+# and e_0 as is.  conj(U) = P U for the swap P: k <-> -k, so a matrix F
+# with P F P = conj(F) is real in this basis (the feedback Gramian and
+# generator), and a real F with P F P = F (the observation form) is block
+# diagonal there, one block over the u_k and e_0, one over the v_k.  U is
+# applied by index arithmetic over the (k, -k) pairs, never as a matrix.
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries of the modes k > 0 and of their partners -k,
+    both branches, along the leading axis n = 2(2N+1) of ``a``, ordered
+    as [branch, k+N]."""
+    N = (len(a) // 2 - 1) // 2
+    a = a.reshape(2, 2 * N + 1, *a.shape[1:])
+    return a[:, N + 1:], a[:, :N][:, ::-1]
+
+
+def _to_real(y: np.ndarray) -> np.ndarray:
+    """U^H y over the leading axis: u_k at the index of k, v_k at -k."""
+    z = np.array(y, dtype=complex, order="C")  # C order: _halves are views
+    p, m = _halves(y)
+    zp, zm = _halves(z)
+    zp[...] = (p + m) / np.sqrt(2)
+    zm[...] = (m - p) * (1j / np.sqrt(2))
+    return z
+
+
+def _from_real(z: np.ndarray) -> np.ndarray:
+    """U z over the leading axis, the inverse of ``_to_real``."""
+    y = np.array(z, dtype=complex, order="C")
+    p, m = _halves(z)
+    yp, ym = _halves(y)
+    yp[...] = (p + 1j * m) / np.sqrt(2)
+    ym[...] = (p - 1j * m) / np.sqrt(2)
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class GapReport:
     N: int

@@ -32,39 +32,11 @@ import numpy as np
 from .errors import GramianSingular
 from .gram import trace_gram
 from .modal import ModalState
-from .spectral import (PhysicalParams, critical_time, resonance_check,
-                       spectrum_table, trace_amplitudes)
+from .spectral import (PhysicalParams, _from_real, _halves, _to_real,
+                       critical_time, resonance_check, spectrum_table,
+                       trace_amplitudes)
 
 SINGULAR_REL_TOL = 1e-13
-
-
-def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the entries of the modes k > 0 and of their partners -k,
-    both branches, along the leading axis n = 2(2N+1) of ``a``, ordered
-    as [branch, k+N]."""
-    N = (len(a) // 2 - 1) // 2
-    a = a.reshape(2, 2 * N + 1, *a.shape[1:])
-    return a[:, N + 1:], a[:, :N][:, ::-1]
-
-
-def _to_real(y: np.ndarray) -> np.ndarray:
-    """U^H y over the leading axis: u_k at the index of k, v_k at -k."""
-    z = np.array(y, dtype=complex, order="C")  # C order: _halves are views
-    p, m = _halves(y)
-    zp, zm = _halves(z)
-    zp[...] = (p + m) / np.sqrt(2)
-    zm[...] = (m - p) * (1j / np.sqrt(2))
-    return z
-
-
-def _from_real(z: np.ndarray) -> np.ndarray:
-    """U z over the leading axis, the inverse of ``_to_real``."""
-    y = np.array(z, dtype=complex, order="C")
-    p, m = _halves(z)
-    yp, ym = _halves(y)
-    yp[...] = (p + 1j * m) / np.sqrt(2)
-    ym[...] = (p - 1j * m) / np.sqrt(2)
-    return y
 
 
 def _free_generator(omega: np.ndarray) -> np.ndarray:
@@ -171,7 +143,8 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
                          steps: int = 400) -> DecayReport:
     """Energy decay of the closed loop, integrated by matrix exponential
     over uniform steps; the decay rate is fitted on the tail half of the
-    horizon (rate of the state norm, i.e. half the log-energy slope).
+    horizon, or of its part before the energy underflows (rate of the
+    state norm, i.e. half the log-energy slope).
 
     The state z = U^H y is carried as the real columns [Re z, Im z], which
     the real generator propagates separately."""
@@ -194,8 +167,13 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
     with np.errstate(divide="ignore"):
         excess = 0.5 * np.log(energies) + 0.9 * gains.omega_target * times
     fitted_M = float(np.exp(np.max(excess) - np.log(norm0)))
-    tail = times >= T_sim / 2
-    logs = np.log(np.maximum(energies[tail], 1e-300))
+    # the fit runs over the span whose energies are normal floats: past it
+    # they underflow, and the logs of clipped values flatten the slope
+    tiny = np.finfo(float).tiny
+    normal = np.flatnonzero(energies >= tiny)
+    end = times[normal[-1]] if normal.size else T_sim
+    tail = (times >= end / 2) & (times <= end)
+    logs = np.log(np.maximum(energies[tail], tiny))
     slope = np.polyfit(times[tail], logs, 1)[0]
     return DecayReport(times, energies, -slope / 2, fitted_M,
                        spectral_abscissa(gains))

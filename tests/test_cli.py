@@ -99,6 +99,18 @@ class TestControl:
         assert (tmp_path / "plan.json").exists()
 
 
+class TestStabilize:
+    def test_long_horizon_rate(self, tmp_path):
+        # the energy underflows at t = 182.5 of 1000
+        cfg = {"preset": "generic", "omega_target": 1.0, "T_sim": 1000}
+        assert run_cli(tmp_path, "stabilize", config=cfg) == 0
+        summary = json.loads(
+            (tmp_path / "stabilize_summary.json").read_text())
+        rate, abscissa = summary["fitted_rate"], summary["abscissa"]
+        assert abs(rate + abscissa) <= 1e-3 * abs(abscissa)
+        assert rate >= 0.9 * 1.0
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         outs = []

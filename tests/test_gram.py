@@ -13,7 +13,8 @@ from ggkdv.gram import (
     observability_constants,
     trace_gram,
 )
-from ggkdv.gram import _cluster, _newton_gram, _structural_kernel
+from ggkdv.gram import (_centred_kernel, _cluster, _newton_gram,
+                        _structural_kernel)
 from ggkdv.modal import ModalState, reconstruct
 from ggkdv.signals import exp_poly_integral
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
@@ -376,21 +377,28 @@ class TestClosedFormsAgainstScipy:
 
 class TestLazyKernelVectors:
     def test_eigh_runs_once_on_first_read(self, monkeypatch):
+        # once per parity block, on the first read only
         eigh = np.linalg.eigh
         calls = []
         monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: calls.append(a) or eigh(a))
-        # roundoff adds kernel eigenvalues here: the eigenvector fallback
-        rep = observability_constants(GENERIC, 16, 0.0,
-                                      ObservationWindow(0.0, 0.5), "u_only")
+                            lambda a: calls.append(a.shape) or eigh(a))
+        # roundoff adds kernel eigenvalues here: the eigenvector fallback,
+        # which takes two directions from C+ and one from C-
+        N, window = 16, ObservationWindow(0.0, 0.5)
+        rep = observability_constants(GENERIC, N, 0.0, window, "u_only")
         assert rep.structural is None
-        assert len(calls) == 0
+        assert calls == []
         vecs = rep.kernel_vectors
-        assert len(calls) == 1
+        assert calls == [(2 * (N + 1),) * 2, (2 * N,) * 2]
         assert rep.kernel_vectors is vecs
-        assert len(calls) == 1
-        np.testing.assert_array_equal(
-            vecs, rep.scale[:, None] * eigh(rep.C)[1][:, :rep.kernel_dim])
+        assert len(calls) == 2
+        # energy-orthonormal directions the form cannot see
+        C, s = folded_complex_form(GENERIC, N, 0.0, window, "u_only")
+        w = vecs / s[:, None]
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(rep.kernel_dim),
+                                   atol=1e-12)
+        seen = np.linalg.eigvalsh(w.conj().T @ C @ w)
+        assert np.max(np.abs(seen)) <= 2e-14 * rep.beta
 
 
 def folded_complex_form(params, N, x0, window, mode):
@@ -460,6 +468,125 @@ class TestRealForm:
                                            np.eye(rep.kernel_dim), atol=1e-12)
                 seen = np.linalg.eigvalsh(w.conj().T @ C @ w)
                 assert np.max(np.abs(seen)) <= 2e-14 * beta
+
+
+def dense_real_form(params, N, length, mode):
+    """The real folded form S R S over the centred window as one dense
+    matrix, its entries from ``exp_poly_integral`` over [0, h]."""
+    u_amp, v_amp, omega, ew, _ = _trace_amplitudes(params, N, 0.0)
+    h = length / 2
+    base = 2 * exp_poly_integral(omega[:, None] - omega[None, :], 0,
+                                 0.0, h).real
+    R = sum(np.outer(amp.real, amp.real) * base
+            for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
+            if mode in ("both", only))
+    s = 1.0 / np.sqrt(ew)
+    return s[:, None] * R * s
+
+
+class TestParityForm:
+    """The swap k <-> -k splits the real form into two blocks over k >= 0,
+    built from the real kernel 2 sin(delta h) / delta."""
+
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("preset, length", OBS_WINDOWS)
+    def test_kernel_against_exp_poly_integral(self, preset, length, N):
+        # every frequency difference and sum of the blocks (at most
+        # 2.2e-16 * 2h measured)
+        omega = spectrum_table(PRESETS[preset], N).omega[:, N:].ravel()
+        h = length / 2
+        for delta in (omega[:, None] - omega, omega[:, None] + omega):
+            ref = 2 * exp_poly_integral(delta, 0, 0.0, h).real
+            assert np.max(np.abs(_centred_kernel(delta, h) - ref)) \
+                <= 1e-15 * 2 * h
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("preset, length", OBS_WINDOWS)
+    def test_blocks_against_dense_real_form(self, preset, length, mode):
+        for N in (0, 1, 2, 6, 16, 32, 64):
+            rep = observability_constants(PRESETS[preset], N, 0.0,
+                                          ObservationWindow(0.0, length), mode)
+            ref = np.linalg.eigvalsh(
+                dense_real_form(PRESETS[preset], N, length, mode))
+            assert rep.eigenvalues.shape == ref.shape
+            assert np.max(np.abs(rep.eigenvalues - ref)) \
+                <= FORM_ROUNDOFF * ref[-1]
+
+    def test_eigen_solves_stay_half_size(self, monkeypatch):
+        sizes = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, solver=solver:
+                                sizes.append(a.shape) or solver(a))
+        for N in (6, 64):
+            for preset, length in OBS_WINDOWS:
+                for mode in MODES:
+                    sizes.clear()
+                    rep = observability_constants(
+                        PRESETS[preset], N, 0.9365,
+                        ObservationWindow(0.0, length), mode)
+                    rep.kernel_vectors
+                    assert sizes[:2] == [(2 * (N + 1),) * 2, (2 * N,) * 2]
+                    assert max(max(shape) for shape in sizes) == 2 * (N + 1)
+
+
+def mp_folded_form(mp, params, N, length, mode):
+    """The real folded form S R S over the centred window at the working
+    precision of ``mp``, from the closed-form spectrum and eigenvectors
+    evaluated there."""
+    a, c, d, r = (mp.mpf(p) for p in (params.a, params.c, params.d,
+                                      params.r))
+    rows, omega = [], []
+    for sign in (1, -1):
+        for k in range(-N, N + 1):
+            root = k * mp.sqrt(4 * a * c * d * k**4 + ((c - 1) * k**2 + r) ** 2)
+            omega.append(((c + 1) * k**3 - r * k + sign * root) / (2 * c))
+            if k == 0:
+                v = sign * mp.sqrt(4 * a * c * d)
+            else:
+                rk2 = r / k**2
+                v = 1 - c - rk2 + sign * mp.sqrt(4 * a * c * d
+                                                 + (c - 1 + rk2) ** 2)
+            u = 2 * a * c
+            s = 1 / mp.sqrt(2 * mp.pi * (u**2 + a * c / d * v**2))
+            rows.append([amp * s for amp, only in ((u, "u_only"), (v, "v_only"))
+                         if mode in ("both", only)])
+    h = mp.mpf(length) / 2
+    n = len(omega)
+    C = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(i + 1):
+            delta = omega[i] - omega[j]
+            K = 2 * h if delta == 0 else 2 * mp.sin(delta * h) / delta
+            C[i, j] = C[j, i] = K * mp.fsum(x * y for x, y in
+                                            zip(rows[i], rows[j]))
+    return C
+
+
+class TestMpmathOracle:
+    """Every eigenvalue against the folded form at 40 digits.  Measured:
+    beta within 9.1e-16 relative, alpha within 2.9e-16 beta, the rest
+    within 1.7e-14 beta (resonant eigenvalue 27, whose double frequencies
+    lose digits to the cancellation in the slow branch)."""
+
+    @pytest.mark.parametrize("mode", ["both", "u_only"])
+    @pytest.mark.parametrize("preset, length",
+                             [("generic", 0.4), ("generic", 0.5),
+                              ("generic", 1.0), ("resonant", 0.5 * T0_RES)])
+    def test_eigenvalues(self, preset, length, mode):
+        mp = pytest.importorskip("mpmath")
+        N = 8
+        with mp.workdps(40):
+            ref = np.array(sorted(float(x) for x in mp.eigsy(
+                mp_folded_form(mp, PRESETS[preset], N, length, mode),
+                eigvals_only=True)))
+        rep = observability_constants(PRESETS[preset], N, 0.0,
+                                      ObservationWindow(0.0, length), mode)
+        beta = ref[-1]
+        assert abs(rep.beta - beta) <= 4e-15 * beta
+        assert abs(rep.alpha - max(ref[0], 0.0)) <= 4e-15 * beta
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= 3e-14 * beta
+        assert rep.kernel_dim == int(np.sum(ref <= 1e-14 * beta))
 
 
 class TestIngham:

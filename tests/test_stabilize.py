@@ -132,6 +132,28 @@ class TestClosedLoopSimulate:
         assert rep.energies[-1] == 0.0
         assert 1.0 <= rep.fitted_M <= 1e3
 
+    def test_rate_fit_before_underflow(self):
+        # the energy underflows near t = 180 of 1000: the rate is fitted on
+        # the tail half of the span before that, not on clipped values
+        rng = np.random.default_rng(5)
+        state = unit_energy_state(GENERIC, 6, rng)
+        gains = feedback_gains(GENERIC, 6, 0.0, 1.0, 2.0)
+        rep = closed_loop_simulate(GENERIC, 6, gains, state, T_sim=1000.0)
+        assert rep.energies[-1] == 0.0
+        rate = rep.fitted_decay_rate
+        assert abs(rate + rep.abscissa) <= 1e-3 * abs(rep.abscissa)
+        assert rate >= 0.9 * 1.0
+
+    @pytest.mark.parametrize("params, Th", STAB_SETTINGS)
+    def test_rate_fit_without_underflow_is_tail_half(self, params, Th):
+        rng = np.random.default_rng(6)
+        state = unit_energy_state(params, 6, rng)
+        gains = feedback_gains(params, 6, 0.0, 1.0, Th)
+        rep = closed_loop_simulate(params, 6, gains, state, T_sim=4 * Th)
+        tail = rep.times >= 2 * Th
+        slope = np.polyfit(rep.times[tail], np.log(rep.energies[tail]), 1)[0]
+        assert rep.fitted_decay_rate == -slope / 2
+
     def test_positive_horizon_required(self):
         gains = zero_gains(GENERIC, 3, 0.0)
         with pytest.raises(ValueError):
