@@ -252,11 +252,12 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
     state0 = _state_from(cfg.get("initial", "random"), N, rng)
     try:
         gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
+        report = stabilize.closed_loop_simulate(params, N, gains, state0,
+                                                T_sim)
     except np.linalg.LinAlgError:  # a ValueError, but not a config error
         raise
-    except ValueError as exc:  # the rate, horizon and resonance checks
+    except ValueError as exc:  # rate, horizon, resonance, zero state
         raise ConfigError(str(exc)) from exc
-    report = stabilize.closed_loop_simulate(params, N, gains, state0, T_sim)
     _write_csv(out / "decay.csv", ["t", "energy", "log_energy"],
                [(t, e, np.log(max(e, 1e-300)))
                 for t, e in zip(report.times, report.energies)])

@@ -30,6 +30,8 @@ from .spectral import (PhysicalParams, _from_real, _halves, spectrum_table,
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
 EPSILON_FLOOR = 1e-14
+# observed trace channels (u = 0, v = 1) per mode
+_CHANNELS = {"both": [0, 1], "u_only": [0], "v_only": [1]}
 
 
 @dataclass(frozen=True)
@@ -62,38 +64,45 @@ def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityReport:
+    """Constants of the folded form C = S R S, and what ``kernel_vectors``
+    is built from on first read: the observed real amplitude rows Z S, the
+    frequencies, the parity blocks (C+, C-) and the lift D^H S to states."""
+
     alpha: float
     beta: float
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
     labels: tuple = field(repr=False)
-    # the structural kernel basis, or else the parity blocks (C+, C-) of the
-    # real folded form C = S R S and the scaling D S of its eigenvectors;
-    # each is None when the other is set
-    structural: np.ndarray | None = field(repr=False)
-    blocks: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
-    scale: np.ndarray | None = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    omega: np.ndarray = field(repr=False)
+    blocks: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    lift: np.ndarray = field(repr=False)
 
     @cached_property
     def kernel_vectors(self) -> np.ndarray:
-        """Kernel basis, one column per kernel dimension: the structural one,
-        or, when roundoff adds kernel eigenvalues the structure does not
-        explain, scale times the eigenvectors of C of the kernel_dim
-        smallest eigenvalues, computed on first read from the two blocks
-        and lifted by U."""
-        if self.structural is not None:
-            return self.structural
+        """Energy-orthonormal basis of the unobserved states, one column per
+        kernel dimension: each column c is a state whose observed trace
+        ``sum_j c_j amps_j e^{i omega_j t}`` (``trace_amplitudes``) vanishes.
+        It is the structural kernel of the rows Z S, mapped to states by
+        D^H S.  Only when roundoff adds kernel eigenvalues the structure
+        does not explain are the eigenvectors of C of the kernel_dim
+        smallest eigenvalues taken instead, from the two blocks lifted by U
+        (the eigenvectors of a tiny cluster mix with adjacent
+        almost-unobservable directions)."""
+        w = _structural_kernel(self.rows, self.omega)
+        if w.shape[1] == self.kernel_dim:
+            return self.lift[:, None] * w
         (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, self.blocks)
         pick = np.argsort(np.r_[vals_p, vals_m], kind="stable")[:self.kernel_dim]
         plus = pick < len(vals_p)
         m, N = self.kernel_dim, len(vals_m) // 2
-        z = np.zeros((len(self.scale), m))
+        z = np.zeros((len(self.lift), m))
         # u_k (and e_0) at the index of k >= 0, v_k at the index of -k
         z.reshape(2, 2 * N + 1, m)[:, N:, plus] = \
             vecs_p.reshape(2, N + 1, -1)[..., pick[plus]]
         _halves(z)[1][..., ~plus] = \
             vecs_m.reshape(2, N, 2 * N)[..., pick[~plus] - len(vals_p)]
-        return self.scale[:, None] * _from_real(z)
+        return self.lift[:, None] * _from_real(z)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -108,9 +117,10 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     which traces are observed.  The diagonal energy form is folded in as
     ``C = S R S`` with ``S = diag(2 pi ||Z||_w^2)^-1/2`` and R the form of
     the real amplitudes Z over the centred window [-h, h].  x0 and the
-    window's centre t_c enter only as ``D = diag(e^{i(k x0 + omega t_c)})``
-    in the form ``D C D^H``, so the eigenvalues are those of the real C,
-    independent of x0, and eigenvectors map back by ``scale = D S``.
+    window's centre t_c enter only as ``D = diag(e^{i(k x0 + omega t_c)})``:
+    a state c observes ``(D c)^H R (D c)``, so the eigenvalues are those of
+    the real C, independent of x0, and a vector w of C is the state
+    ``D^H S w``.
 
     C is never formed.  Its entries are ``A_ij K(omega_i - omega_j)`` with
     ``A = sum_c a_c a_c^T`` over the observed channels and the even kernel
@@ -127,23 +137,17 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     omega = table.omega.ravel()
     norm = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
     h = window.length / 2
-    z = trace_amplitudes(params, N, 0.0).real  # real at x0 = 0
-    blocks = _parity_blocks(_observed(*z, mode) * norm, omega, h)
+    # the amplitudes are real at x0 = 0
+    rows = trace_amplitudes(params, N, 0.0).real[_CHANNELS[mode]] * norm
+    blocks = _parity_blocks(rows, omega, h)
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    u_amp, v_amp = trace_amplitudes(params, N, x0)
-    structural = _structural_kernel(u_amp, v_amp, omega, mode)
-    # when the counts agree the structural basis wins: eigenvectors of a tiny
-    # cluster mix with adjacent almost-unobservable directions
-    if structural.shape[1] == kernel_dim:
-        return ObservabilityReport(alpha, beta, kernel_dim, vals,
-                                   table.labels, structural, None, None)
     ks = np.tile(table.ks, 2)
-    scale = np.exp(1j * (ks * x0 + omega * (window.t0 + h))) * norm
+    lift = np.exp(-1j * (ks * x0 + omega * (window.t0 + h))) * norm
     return ObservabilityReport(alpha, beta, kernel_dim, vals, table.labels,
-                               None, blocks, scale)
+                               rows, omega, blocks, lift)
 
 
 def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,27 +176,20 @@ def _centred_kernel(delta, h: float):
     return 2 * h * np.sinc(delta * (h / np.pi))
 
 
-def _observed(u_amp, v_amp, mode) -> np.ndarray:
-    """The observed channels' amplitude rows, shape (channels, n)."""
-    return np.array([amp for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
-                     if mode in ("both", only)])
+def _structural_kernel(amps, omega) -> np.ndarray:
+    """Orthonormal basis of the exact kernel of the real amplitude rows
+    ``amps`` (channels, n) at the frequencies omega.
 
-
-def _structural_kernel(u_amp, v_amp, omega, mode) -> np.ndarray:
-    """Orthonormal basis of the exact kernel of the observation form.
-
-    A coefficient vector is unobserved iff the trace signal vanishes
-    identically, i.e. the summed amplitude over each group of exactly
-    coinciding frequencies is zero for every observed channel (complex
-    exponentials with distinct frequencies are independent on any
-    window).  The amplitude map is block diagonal over the groups, so its
-    null space is found group by group: a singleton is kernel iff its
-    amplitudes vanish, a larger group takes a small SVD of its block.
-    Singular values count as zero under the rank rule of
-    ``scipy.linalg.null_space`` applied to the whole map: below
-    ``max(rows, n) * eps * s_max``, s_max the largest over all groups.
+    A vector is in it iff its trace signal vanishes identically: the
+    summed amplitude over each group of exactly coinciding frequencies is
+    zero for every channel (exponentials with distinct frequencies are
+    independent on any window).  So the null space is found group by
+    group: a singleton is kernel iff its amplitudes vanish, a larger group
+    takes a small SVD of its block.  Singular values count as zero under
+    the rank rule of ``scipy.linalg.null_space`` applied to the whole map:
+    below ``max(rows, n) * eps * s_max``, s_max the largest over all
+    groups.
     """
-    amps = np.conj(_observed(u_amp, v_amp, mode))
     n = len(omega)
     tol = 1e-9 * (1.0 + np.max(np.abs(omega)))
     order = np.argsort(omega)
@@ -215,8 +212,8 @@ def _structural_kernel(u_amp, v_amp, omega, mode) -> np.ndarray:
     for members, sv, vh in blocks:
         rank = np.sum(sv > zero, axis=1)
         g, j = np.nonzero(np.arange(members.shape[1]) >= rank[:, None])
-        col = np.zeros((n, len(g)), dtype=complex)
-        col[members[g], np.arange(len(g))[:, None]] = vh[g, j].conj()
+        col = np.zeros((n, len(g)))
+        col[members[g], np.arange(len(g))[:, None]] = vh[g, j]
         columns.append(col)
     return np.hstack(columns)
 
@@ -236,15 +233,14 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
 
 
 def divided_difference_constants(params: PhysicalParams, N: int,
-                                 window: ObservationWindow,
-                                 epsilon: float | None = None):
+                                 window: ObservationWindow):
     """Riesz bounds ``(lo, hi, epsilon)`` of the merged frequency family:
     extreme eigenvalues of the Gram of the Newton basis over its chains, lo
     floored at zero (the form is PSD and tiny negatives are roundoff).
-    epsilon defaults to min(1, smallest same-branch gap / 4)."""
+    The clustering starts from epsilon = min(1, smallest same-branch gap
+    / 4)."""
     table = spectrum_table(params, N)
-    if epsilon is None:
-        epsilon = min(1.0, float(np.min(np.abs(np.diff(table.omega)))) / 4)
+    epsilon = min(1.0, float(np.min(np.abs(np.diff(table.omega)))) / 4)
     # the structural k=0 duplicate is one family element, not a cluster
     omega = np.unique(table.omega)
     linked, epsilon = _cluster(omega, epsilon)

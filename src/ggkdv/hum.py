@@ -84,10 +84,13 @@ class HumSystem:
     constraint: np.ndarray | None  # unit kernel direction for single modes
 
     def eigvals(self) -> np.ndarray:
-        """Eigenvalues of ``matrix`` (read-only)."""
+        """Eigenvalues of ``matrix`` (read-only): in single modes, the
+        completion's with its eigenvalue sigma, their mean, set to 0."""
+        vals = self._factorization.vals
         if self.constraint is None:
-            return self._factorization.vals
-        return self._full_eigvals
+            return vals
+        at_sigma = np.argmin(np.abs(vals - np.mean(vals)))
+        return _read_only(np.sort(np.r_[0.0, np.delete(vals, at_sigma)]))
 
     def condition_number(self) -> float:
         """Condition number of the operator solved: on the complement of
@@ -101,11 +104,6 @@ class HumSystem:
                               + table.omega.ravel() * (self.T / 2)))
         R = (np.conj(phases)[:, None] * self.matrix * phases).real
         return phases, (R + R.T) / 2
-
-    @cached_property
-    def _full_eigvals(self) -> np.ndarray:
-        import scipy.linalg
-        return _read_only(scipy.linalg.eigvalsh(self._real_form()[1]))
 
     @cached_property
     def _factorization(self) -> _Factorization:

@@ -54,9 +54,10 @@ class ModalState:
     def scaled(self, factor: complex) -> "ModalState":
         return ModalState(self.N, self.coeffs * factor)
 
-    def is_real_field(self, tol: float = REAL_FIELD_TOL) -> bool:
+    def is_real_field(self) -> bool:
         dev = np.abs(self.coeffs - np.conj(self.coeffs[:, ::-1]))
-        return float(np.max(dev)) <= tol * max(1.0, float(np.max(np.abs(self.coeffs))))
+        return float(np.max(dev)) <= REAL_FIELD_TOL * max(
+            1.0, float(np.max(np.abs(self.coeffs))))
 
 
 @dataclass(eq=False)

@@ -37,6 +37,7 @@ from .spectral import (PhysicalParams, _from_real, _halves, _to_real,
                        trace_amplitudes)
 
 SINGULAR_REL_TOL = 1e-13
+SIM_STEPS = 400
 
 
 def _free_generator(omega: np.ndarray) -> np.ndarray:
@@ -139,12 +140,11 @@ def spectral_abscissa(gains: FeedbackGains) -> float:
 
 
 def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
-                         state0: ModalState, T_sim: float,
-                         steps: int = 400) -> DecayReport:
-    """Energy decay of the closed loop, integrated by matrix exponential
-    over uniform steps; the decay rate is fitted on the tail half of the
-    horizon, or of its part before the energy underflows (rate of the
-    state norm, i.e. half the log-energy slope).
+                         state0: ModalState, T_sim: float) -> DecayReport:
+    """Energy decay of the closed loop from a nonzero state, integrated by
+    matrix exponential over uniform steps; the decay rate is fitted on the
+    tail half of the horizon, or of its part before the energy underflows
+    (rate of the state norm, i.e. half the log-energy slope).
 
     The state z = U^H y is carried as the real columns [Re z, Im z], which
     the real generator propagates separately."""
@@ -153,14 +153,16 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
         raise ValueError("T_sim must be positive")
     table = spectrum_table(params, N)
     z = _to_real(state0.coeffs.ravel() * np.sqrt(2 * np.pi * table.norm2).ravel())
-    states = np.empty((steps + 1, len(z), 2))
+    states = np.empty((SIM_STEPS + 1, len(z), 2))
     states[0] = np.stack([z.real, z.imag], axis=1)
-    step = scipy.linalg.expm(gains.real_loop * (T_sim / steps))
-    for i in range(steps):
+    if not np.sum(states[0] ** 2) > 0:
+        raise ValueError("initial state has zero energy; no decay to fit")
+    step = scipy.linalg.expm(gains.real_loop * (T_sim / SIM_STEPS))
+    for i in range(SIM_STEPS):
         np.matmul(step, states[i], out=states[i + 1])
-    times = np.linspace(0.0, T_sim, steps + 1)
+    times = np.linspace(0.0, T_sim, SIM_STEPS + 1)
     energies = np.einsum("tjc,tjc->t", states, states)
-    norm0 = np.sqrt(energies[0]) if energies[0] > 0 else 1.0
+    norm0 = np.sqrt(energies[0])
     # the overshoot over e^{-0.9 w t} in logs, where neither factor
     # underflows on long horizons; an energy of 0 gives -inf and bounds
     # nothing

@@ -221,11 +221,13 @@ class TestErrors:
         ("stabilize", {"preset": "generic", "omega_target": -0.5}),
         # the slow branch vanishes at |k| = 1 and meets the k=0 pair
         ("stabilize", {"a": 0.5, "c": 1.0, "d": 0.5, "r": 0.75, "N": 3}),
+        # no decay to fit
+        ("stabilize", {"preset": "generic", "initial": "zero"}),
         ("control", {"preset": "generic", "T": 0}),
         ("control", {"preset": "generic", "N": 8, "T": -0.7}),
     ], ids=["stabilize-below-T0", "stabilize-negative-rate",
-            "stabilize-resonant-pairs", "control-zero-horizon",
-            "control-negative-horizon"])
+            "stabilize-resonant-pairs", "stabilize-zero-state",
+            "control-zero-horizon", "control-negative-horizon"])
     def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command, config=cfg) == 4
         err = capsys.readouterr().err

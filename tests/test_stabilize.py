@@ -159,6 +159,12 @@ class TestClosedLoopSimulate:
         with pytest.raises(ValueError):
             closed_loop_simulate(GENERIC, 3, gains, ModalState.zeros(3), 0.0)
 
+    def test_zero_state_rejected(self):
+        # a zero state has no decay to fit
+        gains = feedback_gains(GENERIC, 3, 0.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="zero energy"):
+            closed_loop_simulate(GENERIC, 3, gains, ModalState.zeros(3), 5.0)
+
 
 def complex_reference(params, N, x0, w, Th):
     """The generator diag(i omega) - B Lambda_w^-1 B^H built in complex
