@@ -207,7 +207,7 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
     window = gram.ObservationWindow(t0, t1)
     try:
         direct, inverse = gram.ingham_report(freqs, window)
-    except ValueError as exc:  # repeated frequencies
+    except ValueError as exc:  # repeated frequencies, overflowing window
         raise ConfigError(str(exc)) from exc
     _write_csv(out / "ingham.csv",
                ["family_size", "window_length", "direct_const", "inverse_const"],
@@ -218,7 +218,8 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
 def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
-    T = _float("T", cfg.get("T", 1.0), positive=True)
+    T0 = spectral.critical_time(params)
+    T = _float("T", cfg.get("T", 1.2 * T0 if T0 else 1.0), positive=True)
     mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     initial = _state_from(cfg.get("initial", "random"), N, rng)
@@ -246,7 +247,8 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6))
     x0 = _float("x0", cfg.get("x0", 0.0))
     omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
-    Th = _float("Th", cfg.get("Th", 2.0))
+    T0 = spectral.critical_time(params)
+    Th = _float("Th", cfg.get("Th", 1.5 * T0 if T0 else 2.0))
     T_sim = _float("T_sim", cfg.get("T_sim", 20.0), positive=True)
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
     state0 = _state_from(cfg.get("initial", "random"), N, rng)
@@ -256,7 +258,7 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
                                                 T_sim)
     except np.linalg.LinAlgError:  # a ValueError, but not a config error
         raise
-    except ValueError as exc:  # rate, horizon, resonance, zero state
+    except ValueError as exc:  # rate, horizons, resonance, zero state, fit
         raise ConfigError(str(exc)) from exc
     _write_csv(out / "decay.csv", ["t", "energy", "log_energy"],
                [(t, e, np.log(max(e, 1e-300)))

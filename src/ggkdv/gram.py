@@ -72,7 +72,6 @@ class ObservabilityReport:
     beta: float
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
-    labels: tuple = field(repr=False)
     rows: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
     blocks: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -146,8 +145,8 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     alpha = float(max(vals[0], 0.0))
     ks = np.tile(table.ks, 2)
     lift = np.exp(-1j * (ks * x0 + omega * (window.t0 + h))) * norm
-    return ObservabilityReport(alpha, beta, kernel_dim, vals, table.labels,
-                               rows, omega, blocks, lift)
+    return ObservabilityReport(alpha, beta, kernel_dim, vals, rows, omega,
+                               blocks, lift)
 
 
 def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +226,11 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     # the window's centre enters only as a unitary diagonal: the Gram over
     # the centred window [-h, h] is real symmetric with the same eigenvalues
     h = window.length / 2
-    G = 2 * trace_gram(np.ones((1, len(freqs))), freqs, 0.0, h).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = 2 * trace_gram(np.ones((1, len(freqs))), freqs, 0.0, h).real
+    if not np.all(np.isfinite(G)):
+        raise ValueError(f"window [{window.t0:g}, {window.t1:g}] overflows "
+                         "the Gram")
     vals = np.linalg.eigvalsh(G)
     return float(vals[-1]), float(vals[0])
 

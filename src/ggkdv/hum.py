@@ -34,59 +34,26 @@ MEAN_TOL = 1e-10
 _CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 
-@dataclass(frozen=True, eq=False)
-class _Factorization:
-    """What every solve against one system shares: the real
-    ``R + sigma v v^T``, completed along the unit kernel direction v of
-    single modes (v = 0 in mode both)."""
-
-    phases: np.ndarray         # the diagonal of D
-    kernel: np.ndarray         # v
-    vals: np.ndarray           # eigenvalues of the completed R, ascending
-    cond: float
-    cho: tuple | None          # its Cholesky factor; None when ill-conditioned
-    matrix_hi: np.ndarray | None  # Lambda in extended precision
-
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        """D^H x without its v component."""
-        y = np.conj(self.phases) * x
-        return y - self.kernel * (self.kernel @ y)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """D R^+ D^H b on the complement of D v, as two real right-hand
-        sides."""
-        import scipy.linalg
-        z, _ = scipy.linalg.lapack.dpotrs(
-            self.cho[0], self.reduce(b).view(float).reshape(-1, 2),
-            lower=self.cho[1])
-        return self.phases * (z[:, 0] + 1j * z[:, 1])
-
-
 @dataclass(eq=False)
 class HumSystem:
     """The control operator in adjoint eigen-coordinates.
 
     x0 and the horizon's centre enter ``matrix`` only through the phases
     ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R real
-    symmetric.  The eigenvalues and the Cholesky factor of R (completed
-    along the kernel direction in single modes) used by ``solve_control``
-    are computed once, on first use; ``matrix`` must not change after
-    that.
+    symmetric.  The solves factor R, completed along the unit kernel
+    direction v of single modes to ``R + sigma v v^T``; its eigenvalues and
+    Cholesky factor are computed once, on first use, so ``matrix`` must not
+    change after that.
     """
 
-    params: PhysicalParams
-    N: int
-    x0: float
-    T: float
-    mode: str                  # both | f_only | g_only
-    labels: tuple
     matrix: np.ndarray         # Hermitian PSD
-    constraint: np.ndarray | None  # unit kernel direction for single modes
+    phases: np.ndarray         # the diagonal of D
+    constraint: np.ndarray | None  # v: unit kernel direction, single modes
 
     def eigvals(self) -> np.ndarray:
         """Eigenvalues of ``matrix`` (read-only): in single modes, the
         completion's with its eigenvalue sigma, their mean, set to 0."""
-        vals = self._factorization.vals
+        vals = self._factor[0]
         if self.constraint is None:
             return vals
         at_sigma = np.argmin(np.abs(vals - np.mean(vals)))
@@ -95,26 +62,23 @@ class HumSystem:
     def condition_number(self) -> float:
         """Condition number of the operator solved: on the complement of
         the structural kernel direction in single modes."""
-        return self._factorization.cond
-
-    def _real_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(phases, R): the diagonal of D, and R = Re(D^H Lambda D)."""
-        table = spectrum_table(self.params, self.N)
-        phases = np.exp(1j * (np.tile(table.ks, 2) * self.x0
-                              + table.omega.ravel() * (self.T / 2)))
-        R = (np.conj(phases)[:, None] * self.matrix * phases).real
-        return phases, (R + R.T) / 2
+        return self._factor[1]
 
     @cached_property
-    def _factorization(self) -> _Factorization:
+    def _factor(self) -> tuple:
+        """(vals, cond, cho, matrix_hi): the ascending eigenvalues of the
+        completed R, its condition number, its Cholesky factor (None when
+        ill-conditioned) and, with the factor, Lambda in extended precision."""
         import scipy.linalg
-        phases, R = self._real_form()
-        n = len(R)
-        v = np.zeros(n) if self.constraint is None else self.constraint
-        # R's k=0 columns are equal or opposite, so R v = 0 and the
-        # completion's eigenvalue sigma, the mean of the others, keeps the
-        # extremes, the condition number and the solve on the complement
-        R += np.trace(R) / (n - 1) * np.outer(v, v)
+        R = (np.conj(self.phases)[:, None] * self.matrix * self.phases).real
+        R = (R + R.T) / 2
+        v = self.constraint
+        if v is not None:
+            # R's k=0 columns are equal or opposite, so R v = 0 and the
+            # completion's eigenvalue sigma, the mean of the others, keeps
+            # the extremes, the condition number and the solve on the
+            # complement
+            R += np.trace(R) / (len(R) - 1) * np.outer(v, v)
         vals = _read_only(scipy.linalg.eigvalsh(R))
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
         cho = None
@@ -124,7 +88,40 @@ class HumSystem:
             except np.linalg.LinAlgError:
                 cond = np.inf
         hi = None if cho is None else self.matrix.astype(np.clongdouble)
-        return _Factorization(phases, v, vals, cond, cho, hi)
+        return vals, cond, cho, hi
+
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """D^H x without its v component."""
+        y = np.conj(self.phases) * x
+        v = self.constraint
+        return y if v is None else y - v * (v @ y)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """D R^+ D^H b on the complement of D v, as two real right-hand
+        sides."""
+        import scipy.linalg
+        cho = self._factor[2]
+        z, _ = scipy.linalg.lapack.dpotrs(
+            cho[0], self._reduce(b).view(float).reshape(-1, 2), lower=cho[1])
+        return self.phases * (z[:, 0] + 1j * z[:, 1])
+
+    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve of ``Lambda s = b`` on the complement of D v, refined in
+        mixed precision: corrections from the double real factor, residuals
+        in extended precision against the complex Lambda over [0, T] (the
+        closed forms ``forced_evolve`` shares), so the refinement converges
+        even when the condition number approaches 1/eps (windows near the
+        critical time)."""
+        b_hi = b.astype(np.clongdouble)
+        x = self._solve(b).astype(np.clongdouble)
+        for _ in range(6):
+            r = b_hi - self._factor[3] @ x
+            corr = self._solve(r.astype(complex))
+            x = x + corr
+            if np.linalg.norm(corr) <= \
+                    1e-16 * np.linalg.norm(x.astype(complex)):
+                break
+        return x.astype(complex)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -175,26 +172,9 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         lam = trace_gram(amps, table.omega.ravel(), 0.0, T)
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"horizon T={T:g} overflows the control operator")
-    return HumSystem(params, N, x0, T, mode, table.labels, lam,
-                     _kernel_direction(N, mode))
-
-
-def _refined_solve(fac: _Factorization, b: np.ndarray) -> np.ndarray:
-    """Solve of ``Lambda s = b`` on the complement of D v, refined in mixed
-    precision: corrections from the double real factor, residuals in
-    extended precision against the complex Lambda over [0, T] (the closed
-    forms ``forced_evolve`` shares), so the refinement converges even when
-    the condition number approaches 1/eps (windows near the critical time).
-    """
-    b_hi = b.astype(np.clongdouble)
-    x = fac.solve(b).astype(np.clongdouble)
-    for _ in range(6):
-        r = b_hi - fac.matrix_hi @ x
-        corr = fac.solve(r.astype(complex))
-        x = x + corr
-        if np.linalg.norm(corr) <= 1e-16 * np.linalg.norm(x.astype(complex)):
-            break
-    return x.astype(complex)
+    phases = np.exp(1j * (np.tile(table.ks, 2) * x0
+                          + table.omega.ravel() * (T / 2)))
+    return HumSystem(lam, phases, _kernel_direction(N, mode))
 
 
 def _duality_rhs(params: PhysicalParams, defect: ModalState) -> np.ndarray:
@@ -238,24 +218,24 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     if not np.all(np.isfinite(rhs)):
         raise ValueError("initial and target states must be finite")
 
-    fac = system._factorization
+    vals, cond, cho, _ = system._factor
     what = "control operator" if system.constraint is None else \
         "restricted control operator"
-    if fac.cho is None:
+    if cho is None:
         raise IllConditioned(
             f"{what} condition number exceeds 1e14; increase T or reduce N",
-            condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
-    s = _refined_solve(fac, rhs)
-    rhs_norm = np.linalg.norm(fac.reduce(rhs))
+            condition_number=cond, alpha_estimate=float(vals[0]))
+    s = system._refined_solve(rhs)
+    rhs_norm = np.linalg.norm(system._reduce(rhs))
     est = 0.0 if rhs_norm == 0 else float(
-        np.finfo(float).eps * fac.vals[-1] * np.linalg.norm(s) / rhs_norm)
+        np.finfo(float).eps * vals[-1] * np.linalg.norm(s) / rhs_norm)
     if est > ERROR_EST_LIMIT:
         raise IllConditioned(
-            f"{what} (condition number {fac.cond:.1e}) gives an estimated "
+            f"{what} (condition number {cond:.1e}) gives an estimated "
             f"round-trip error {est:.1e} above {ERROR_EST_LIMIT:g} for this "
             "data; increase T or steer between states the controls reach "
             "at moderate cost",
-            condition_number=fac.cond, alpha_estimate=float(fac.vals[0]))
+            condition_number=cond, alpha_estimate=float(vals[0]))
 
     # f = -conj(phi(., x0)), g = -conj(psi(., x0)) of the adjoint solution
     # seeded with conj(s)
@@ -263,7 +243,8 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     phi, psi = adjoint_trace(params, ModalState(N, seed.reshape(2, -1)), x0)
     f = phi.conjugate().scaled(-1) if mode != "g_only" else None
     g = psi.conjugate().scaled(-1) if mode != "f_only" else None
-    return ControlPlan(f, g, x0, T, seed, system.labels, est)
+    return ControlPlan(f, g, x0, T, seed, spectrum_table(params, N).labels,
+                       est)
 
 
 def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,

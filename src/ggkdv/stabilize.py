@@ -58,11 +58,7 @@ class FeedbackGains:
     c[branch, k+N] and give the two scalar control amplitudes.
     """
 
-    params: PhysicalParams
-    N: int
-    x0: float
     omega_target: float
-    horizon_Th: float
     F_row: np.ndarray
     G_row: np.ndarray
     real_loop: np.ndarray     # generator in the real-field basis, U^H A U
@@ -112,18 +108,16 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
     K_r = -np.linalg.solve(lam_r, B_r).T
     # K = K_r U^H; rows over modal coefficients: control = (K * scale) c
     K = _from_real(K_r.T).conj().T * scale
-    return FeedbackGains(params, N, x0, omega_target, Th, K[0], K[1],
+    return FeedbackGains(omega_target, K[0], K[1],
                          _free_generator(omega) + B_r @ K_r)
 
 
-def zero_gains(params: PhysicalParams, N: int, x0: float,
-               omega_target: float = 0.0, Th: float = 1.0) -> FeedbackGains:
+def zero_gains(params: PhysicalParams, N: int,
+               omega_target: float = 0.0) -> FeedbackGains:
     """Open-loop reference: zero feedback, conservative dynamics."""
     omega = spectrum_table(params, N).omega.ravel()
-    n = len(omega)
-    return FeedbackGains(params, N, x0, omega_target, Th,
-                         np.zeros(n, dtype=complex), np.zeros(n, dtype=complex),
-                         _free_generator(omega))
+    F_row, G_row = np.zeros((2, len(omega)), dtype=complex)
+    return FeedbackGains(omega_target, F_row, G_row, _free_generator(omega))
 
 
 @dataclass(eq=False)
@@ -143,14 +137,19 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
                          state0: ModalState, T_sim: float) -> DecayReport:
     """Energy decay of the closed loop from a nonzero state, integrated by
     matrix exponential over uniform steps; the decay rate is fitted on the
-    tail half of the horizon, or of its part before the energy underflows
-    (rate of the state norm, i.e. half the log-energy slope).
+    tail half of the horizon, or of its part before the energy underflows,
+    or on the last two normal energies when that half holds fewer (rate of
+    the state norm, i.e. half the log-energy slope).  Raises ValueError when
+    fewer than two energies are normal floats.
 
     The state z = U^H y is carried as the real columns [Re z, Im z], which
     the real generator propagates separately."""
     import scipy.linalg
-    if T_sim <= 0:
-        raise ValueError("T_sim must be positive")
+    tiny = np.finfo(float).tiny
+    # np.polyfit divides the times by their root-sum-square, which must
+    # stay a normal float
+    if not T_sim >= np.sqrt(tiny):
+        raise ValueError(f"T_sim must be at least {np.sqrt(tiny):.2g}")
     table = spectrum_table(params, N)
     z = _to_real(state0.coeffs.ravel() * np.sqrt(2 * np.pi * table.norm2).ravel())
     states = np.empty((SIM_STEPS + 1, len(z), 2))
@@ -171,10 +170,14 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
     fitted_M = float(np.exp(np.max(excess) - np.log(norm0)))
     # the fit runs over the span whose energies are normal floats: past it
     # they underflow, and the logs of clipped values flatten the slope
-    tiny = np.finfo(float).tiny
     normal = np.flatnonzero(energies >= tiny)
-    end = times[normal[-1]] if normal.size else T_sim
-    tail = (times >= end / 2) & (times <= end)
+    if normal.size < 2:
+        raise ValueError("the energy underflows within one step; no decay "
+                         "rate to fit, shorten T_sim")
+    end = times[normal[-1]]
+    tail = np.flatnonzero((times >= end / 2) & (times <= end))
+    if tail.size < 2:
+        tail = normal[-2:]
     logs = np.log(np.maximum(energies[tail], tiny))
     slope = np.polyfit(times[tail], logs, 1)[0]
     return DecayReport(times, energies, -slope / 2, fitted_M,

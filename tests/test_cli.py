@@ -99,6 +99,13 @@ class TestControl:
         assert (tmp_path / "plan.json").exists()
 
 
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["control", "stabilize"])
+    def test_empty_config_runs(self, tmp_path, command):
+        # the default parameters are resonant; T and Th follow T0
+        assert run_cli(tmp_path, command, config={}) == 0
+
+
 class TestStabilize:
     def test_long_horizon_rate(self, tmp_path):
         # the energy underflows at t = 182.5 of 1000
@@ -173,6 +180,8 @@ class TestErrors:
         ("stabilize", {"Thh": 3}),
         ("observe", {"windowlength": 0.5}),
         ("control", {"t": 1.0}),
+        # the closed-form ingham Gram overflows
+        ("ingham", {"t1": 1e300}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,
@@ -217,7 +226,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, cfg", [
         # default parameters are resonant: Th=2 is below T0 = 4 pi
-        ("stabilize", {"N": 4}),
+        ("stabilize", {"N": 4, "Th": 2.0}),
         ("stabilize", {"preset": "generic", "omega_target": -0.5}),
         # the slow branch vanishes at |k| = 1 and meets the k=0 pair
         ("stabilize", {"a": 0.5, "c": 1.0, "d": 0.5, "r": 0.75, "N": 3}),
@@ -225,9 +234,13 @@ class TestErrors:
         ("stabilize", {"preset": "generic", "initial": "zero"}),
         ("control", {"preset": "generic", "T": 0}),
         ("control", {"preset": "generic", "N": 8, "T": -0.7}),
+        # no rate to fit: one normal energy, or times whose squares underflow
+        ("stabilize", {"preset": "generic", "T_sim": 3e5}),
+        ("stabilize", {"preset": "generic", "T_sim": 1e-300}),
     ], ids=["stabilize-below-T0", "stabilize-negative-rate",
             "stabilize-resonant-pairs", "stabilize-zero-state",
-            "control-zero-horizon", "control-negative-horizon"])
+            "control-zero-horizon", "control-negative-horizon",
+            "stabilize-underflow-step", "stabilize-tiny-horizon"])
     def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command, config=cfg) == 4
         err = capsys.readouterr().err

@@ -133,7 +133,7 @@ class TestRealFactorization:
         if mode != "both":
             P = scipy.linalg.null_space(system.constraint[None, :].conj())
             ref = scipy.linalg.eigvalsh(P.conj().T @ system.matrix @ P)
-            vals = system._factorization.vals
+            vals = system._factor[0]
             completed = np.sort(np.append(ref, ref.mean()))
             assert np.max(np.abs(vals - completed)) <= 32 * eps * ref[-1]
         # an error of 32 eps beta in alpha is 32 eps cond relative to alpha
@@ -157,7 +157,9 @@ class TestRealFactorization:
                     v = system.constraint
                     a, b = np.flatnonzero(v)
                     sign = -v[b] / v[a]
-                    R = system._real_form()[1]
+                    D = system.phases
+                    R = (np.conj(D)[:, None] * system.matrix * D).real
+                    R = (R + R.T) / 2
                     for M in (system.matrix, R):
                         assert np.array_equal(M[:, a], sign * M[:, b])
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -143,6 +145,19 @@ class TestClosedLoopSimulate:
         rate = rep.fitted_decay_rate
         assert abs(rate + rep.abscissa) <= 1e-3 * abs(rep.abscissa)
         assert rate >= 0.9 * 1.0
+
+    def test_rate_fit_from_two_normal_energies(self):
+        # only the energies at t = 0 and 250 of 1e5 are normal floats: the
+        # tail half holds one of them, so the fit takes both
+        rng = np.random.default_rng(0)
+        state = unit_energy_state(GENERIC, 6, rng)
+        gains = feedback_gains(GENERIC, 6, 0.0, 0.5, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = closed_loop_simulate(GENERIC, 6, gains, state, T_sim=1e5)
+        assert np.count_nonzero(rep.energies >= np.finfo(float).tiny) == 2
+        rate = rep.fitted_decay_rate
+        assert abs(rate + rep.abscissa) <= 1e-2 * abs(rep.abscissa)
 
     @pytest.mark.parametrize("params, Th", STAB_SETTINGS)
     def test_rate_fit_without_underflow_is_tail_half(self, params, Th):
