@@ -344,17 +344,14 @@ def main(argv=None) -> int:
                   f"T0={spectral.critical_time(params):.6g}", file=sys.stderr)
 
         return _DISPATCH[args.command](cfg, params, out, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
     except IllConditioned as exc:
         print(f"ill-conditioned: {exc}", file=sys.stderr)
         return 3
-    except GGKdVError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, GGKdVError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 4
 
 

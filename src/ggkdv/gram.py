@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import exp_kernel
-from .spectral import (PhysicalParams, _from_real, _halves, spectrum_table,
-                       trace_amplitudes)
+from .spectral import PhysicalParams, _halves, spectrum_table, trace_amplitudes
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -93,15 +92,7 @@ class ObservabilityReport:
             return self.lift[:, None] * w
         (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, self.blocks)
         pick = np.argsort(np.r_[vals_p, vals_m], kind="stable")[:self.kernel_dim]
-        plus = pick < len(vals_p)
-        m, N = self.kernel_dim, len(vals_m) // 2
-        z = np.zeros((len(self.lift), m))
-        # u_k (and e_0) at the index of k >= 0, v_k at the index of -k
-        z.reshape(2, 2 * N + 1, m)[:, N:, plus] = \
-            vecs_p.reshape(2, N + 1, -1)[..., pick[plus]]
-        _halves(z)[1][..., ~plus] = \
-            vecs_m.reshape(2, N, 2 * N)[..., pick[~plus] - len(vals_p)]
-        return self.lift[:, None] * _from_real(z)
+        return self.lift[:, None] * _unfold(vecs_p, vecs_m, pick)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -166,6 +157,21 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     plus = A * (diff + summ)
     minus = (A * (diff - summ))[np.ix_(k > 0, k > 0)]
     return plus, minus
+
+
+def _unfold(vecs_p, vecs_m, pick) -> np.ndarray:
+    """``U blkdiag(V+, V-)[:, pick]``: the block eigenvectors ``pick``,
+    numbered over [V+, V-], as complex vectors over [branch, k]."""
+    N, n_p, n = len(vecs_m) // 2, len(vecs_p), len(vecs_p) + len(vecs_m)
+    vp = vecs_p.reshape(2, N + 1, n_p)
+    vm = 1j * (vecs_m.reshape(2, N, 2 * N) * (1 / np.sqrt(2)))
+    vecs = np.zeros((n, n), dtype=complex)
+    at_k, at_minus_k = _halves(vecs)
+    # e_0 as is, u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2
+    vecs.reshape(2, 2 * N + 1, n)[:, N, :n_p] = vp[:, 0]
+    at_k[..., :n_p] = at_minus_k[..., :n_p] = vp[:, 1:] * (1 / np.sqrt(2))
+    at_k[..., n_p:], at_minus_k[..., n_p:] = vm, -vm
+    return vecs[:, pick]
 
 
 def _centred_kernel(delta, h: float):

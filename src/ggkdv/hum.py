@@ -5,9 +5,8 @@ pointwise traces, so every entry is a closed-form exponential integral.
 Steering between arbitrary states reduces to a null-control solve of the
 defect ``initial - free-backward-evolved target`` against that matrix;
 controls come out as exponential sums built from the adjoint solution.
-The solves factor the real symmetric R of ``Lambda = D R D^H``, D a
-diagonal of phases, on the complement of D v in single-control modes, v the
-structural k=0 kernel direction, and refine against the complex Lambda.
+Up to a diagonal of phases the matrix is the real observation form, so the
+solves use the eigenvectors of its two parity blocks from ``gram``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditioned
-from .gram import trace_gram
-from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
-                    h_norm, modal_uv, u_mean, v_mean)
+from .gram import _parity_blocks, _unfold, trace_gram
+from .modal import (ModalState, adjoint_modal_uv, adjoint_trace, energy,
+                    evolve, forced_evolve, h_norm, modal_uv, u_mean, v_mean)
 from .signals import ExponentialSignal, exp_kernel, stack_terms
 from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
@@ -39,16 +38,19 @@ class HumSystem:
     """The control operator in adjoint eigen-coordinates.
 
     x0 and the horizon's centre enter ``matrix`` only through the phases
-    ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R real
-    symmetric.  The solves factor R, completed along the unit kernel
-    direction v of single modes to ``R + sigma v v^T``; its eigenvalues and
-    Cholesky factor are computed once, on first use, so ``matrix`` must not
-    change after that.
+    ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R the real
+    form of the amplitude ``rows`` over [-T/2, T/2], whose parity blocks
+    (``gram._parity_blocks``) are solved, C+ completed along the unit kernel
+    direction v of single modes to ``C+ + sigma v v^T``.  Their eigenvalues
+    and, below COND_LIMIT, ``W = D U blkdiag(V+, V-)`` are computed once.
     """
 
     matrix: np.ndarray         # Hermitian PSD
     phases: np.ndarray         # the diagonal of D
     constraint: np.ndarray | None  # v: unit kernel direction, single modes
+    rows: np.ndarray           # observed adjoint amplitudes at x0 = 0, real
+    omega: np.ndarray          # frequencies over (branch, k)
+    T: float
 
     def eigvals(self) -> np.ndarray:
         """Eigenvalues of ``matrix`` (read-only): in single modes, the
@@ -66,52 +68,43 @@ class HumSystem:
 
     @cached_property
     def _factor(self) -> tuple:
-        """(vals, cond, cho, matrix_hi): the ascending eigenvalues of the
-        completed R, its condition number, its Cholesky factor (None when
-        ill-conditioned) and, with the factor, Lambda in extended precision."""
-        import scipy.linalg
-        R = (np.conj(self.phases)[:, None] * self.matrix * self.phases).real
-        R = (R + R.T) / 2
+        """(vals, cond, W, matrix_hi): the completed blocks' ascending
+        eigenvalues, their condition number, W (columns in their order) and
+        Lambda in extended precision, the last two None above COND_LIMIT."""
+        plus, minus = _parity_blocks(self.rows, self.omega, self.T / 2)
         v = self.constraint
         if v is not None:
-            # R's k=0 columns are equal or opposite, so R v = 0 and the
-            # completion's eigenvalue sigma, the mean of the others, keeps
-            # the extremes, the condition number and the solve on the
-            # complement
-            R += np.trace(R) / (len(R) - 1) * np.outer(v, v)
-        vals = _read_only(scipy.linalg.eigvalsh(R))
+            # C+ v = 0 (equal or opposite k=0 columns); sigma, the mean of
+            # the other eigenvalues, keeps the extremes and the complement
+            v = v.reshape(2, -1)[:, len(minus) // 2:].ravel()
+            sigma = (np.trace(plus) + np.trace(minus)) / (len(self.matrix) - 1)
+            plus += sigma * np.outer(v, v)
+        (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, (plus, minus))
+        vals = np.r_[vals_p, vals_m]
+        order = np.argsort(vals, kind="stable")
+        vals = _read_only(vals[order])
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
-        cho = None
-        if cond <= COND_LIMIT:
-            try:
-                cho = scipy.linalg.cho_factor(R)
-            except np.linalg.LinAlgError:
-                cond = np.inf
-        hi = None if cho is None else self.matrix.astype(np.clongdouble)
-        return vals, cond, cho, hi
+        if cond > COND_LIMIT:
+            return vals, cond, None, None
+        W = self.phases[:, None] * _unfold(vecs_p, vecs_m, order)
+        return vals, cond, W, self.matrix.astype(np.clongdouble)
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
-        """D^H x without its v component."""
-        y = np.conj(self.phases) * x
+        """x without its D v component; D is 1 at k=0, so D v = v."""
         v = self.constraint
-        return y if v is None else y - v * (v @ y)
+        return x if v is None else x - v * (v @ x)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """D R^+ D^H b on the complement of D v, as two real right-hand
-        sides."""
-        import scipy.linalg
-        cho = self._factor[2]
-        z, _ = scipy.linalg.lapack.dpotrs(
-            cho[0], self._reduce(b).view(float).reshape(-1, 2), lower=cho[1])
-        return self.phases * (z[:, 0] + 1j * z[:, 1])
+        """``W (W^H b / vals)`` on the complement of D v."""
+        vals, _, W, _ = self._factor
+        return W @ (np.conj(np.conj(self._reduce(b)) @ W) / vals)
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve of ``Lambda s = b`` on the complement of D v, refined in
-        mixed precision: corrections from the double real factor, residuals
-        in extended precision against the complex Lambda over [0, T] (the
-        closed forms ``forced_evolve`` shares), so the refinement converges
-        even when the condition number approaches 1/eps (windows near the
-        critical time)."""
+        mixed precision: corrections from W, residuals in extended precision
+        against the complex Lambda over [0, T] (the closed forms
+        ``forced_evolve`` shares), so the refinement converges even when the
+        condition number approaches 1/eps (windows near the critical time)."""
         b_hi = b.astype(np.clongdouble)
         x = self._solve(b).astype(np.clongdouble)
         for _ in range(6):
@@ -141,18 +134,6 @@ class ControlPlan:
     error_estimate: float | None = None
 
 
-def _kernel_direction(N: int, mode: str) -> np.ndarray | None:
-    """Unit structural unobservable adjoint direction at k=0 in single
-    modes: the phi-trace 2d(q+ + q-) vanishes on q+ = -q-, the psi-trace
-    sqrt(4acd)(q+ - q-) on q+ = q-."""
-    if mode == "both":
-        return None
-    v = np.zeros(2 * (2 * N + 1))
-    v[[N, 3 * N + 1]] = np.array([1.0, -1.0 if mode == "f_only" else 1.0]) \
-        / np.sqrt(2)
-    return v
-
-
 def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
                     mode: str = "both") -> HumSystem:
     """Gram matrix of the adjoint traces observed over [0, T].
@@ -167,14 +148,22 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     if not T > 0:
         raise ValueError("horizon must be positive")
     table = spectrum_table(params, N)
+    omega = table.omega.ravel()
     amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = trace_gram(amps, table.omega.ravel(), 0.0, T)
+        lam = trace_gram(amps, omega, 0.0, T)
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"horizon T={T:g} overflows the control operator")
-    phases = np.exp(1j * (np.tile(table.ks, 2) * x0
-                          + table.omega.ravel() * (T / 2)))
-    return HumSystem(lam, phases, _kernel_direction(N, mode))
+    phases = np.exp(1j * (np.tile(table.ks, 2) * x0 + omega * (T / 2)))
+    rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]
+    v = None
+    if mode != "both":
+        # the phi-trace 2d(q+ + q-) vanishes on q+ = -q-, the psi-trace
+        # sqrt(4acd)(q+ - q-) on q+ = q-
+        v = np.zeros(len(omega))
+        sign = -1.0 if mode == "f_only" else 1.0
+        v[[N, 3 * N + 1]] = np.array([1.0, sign]) / np.sqrt(2)
+    return HumSystem(lam, phases, v, rows, omega, T)
 
 
 def _duality_rhs(params: PhysicalParams, defect: ModalState) -> np.ndarray:
@@ -218,10 +207,10 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     if not np.all(np.isfinite(rhs)):
         raise ValueError("initial and target states must be finite")
 
-    vals, cond, cho, _ = system._factor
+    vals, cond, W, _ = system._factor
     what = "control operator" if system.constraint is None else \
         "restricted control operator"
-    if cho is None:
+    if W is None:
         raise IllConditioned(
             f"{what} condition number exceeds 1e14; increase T or reduce N",
             condition_number=cond, alpha_estimate=float(vals[0]))
@@ -298,7 +287,6 @@ def bilinear_pairing(params: PhysicalParams, state: ModalState,
                      adjoint_state: ModalState) -> complex:
     """``integral u phi + v psi dx`` = 2 pi sum_k (u_k phi_{-k} + v_k psi_{-k});
     the pairing conserved by the mutually dual free flows."""
-    from .modal import adjoint_modal_uv
     uv = modal_uv(params, state)
     pq = adjoint_modal_uv(params, adjoint_state)
     pq_rev = pq[:, ::-1]

@@ -30,6 +30,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import GGKdVError
+
 #: Relative tolerance deciding the degenerate regime a*d = 1.  The regime
 #: switch changes qualitative behaviour (positive critical time), so it is
 #: an explicit classification rather than a numerical accident.
@@ -193,12 +195,17 @@ class SpectrumTable:
 
 @lru_cache(maxsize=64)
 def spectrum_table(params: PhysicalParams, N: int) -> SpectrumTable:
+    """Raises GGKdVError when omega or a norm, and so z or zt, is not
+    finite, as when the weight ac/d or its reciprocal is 0 or inf."""
     if N < 0:
         raise ValueError("truncation N must be >= 0")
-    omega, z, zt = _closed_forms(params, np.arange(-N, N + 1))
-    w = params.weight
-    norm2 = z[:, :, 0] ** 2 + w * z[:, :, 1] ** 2
-    adj_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
+    w = np.float64(params.weight)  # so 1/w at w = 0 is inf, not an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega, z, zt = _closed_forms(params, np.arange(-N, N + 1))
+        norm2 = z[:, :, 0] ** 2 + w * z[:, :, 1] ** 2
+        adj_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
+    if not all(np.all(np.isfinite(a)) for a in (omega, norm2, adj_norm2)):
+        raise GGKdVError(f"{params} at N={N} has no finite spectrum table")
     return SpectrumTable(params, N, omega, z, zt, norm2, adj_norm2)
 
 

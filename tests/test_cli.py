@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -237,12 +238,18 @@ class TestErrors:
         # no rate to fit: one normal energy, or times whose squares underflow
         ("stabilize", {"preset": "generic", "T_sim": 3e5}),
         ("stabilize", {"preset": "generic", "T_sim": 1e-300}),
+        # the weight ac/d underflows to 0; the table's norms overflow
+        ("spectrum", {"a": 1e-300, "c": 1e-300}),
+        ("control", {"a": 1e300}),
     ], ids=["stabilize-below-T0", "stabilize-negative-rate",
             "stabilize-resonant-pairs", "stabilize-zero-state",
             "control-zero-horizon", "control-negative-horizon",
-            "stabilize-underflow-step", "stabilize-tiny-horizon"])
+            "stabilize-underflow-step", "stabilize-tiny-horizon",
+            "spectrum-weight-underflow", "control-table-overflow"])
     def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
-        assert run_cli(tmp_path, command, config=cfg) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(tmp_path, command, config=cfg) == 4
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 

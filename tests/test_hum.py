@@ -6,8 +6,10 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from ggkdv.errors import ConstraintViolation, IllConditioned
+from ggkdv.gram import _parity_blocks
 from ggkdv.hum import (
     ERROR_EST_LIMIT,
+    _duality_rhs,
     assemble_lambda,
     bilinear_pairing,
     control_cost,
@@ -27,7 +29,8 @@ from ggkdv.modal import (
     v_mean,
 )
 from ggkdv.signals import ExponentialSignal
-from ggkdv.spectral import PRESETS, PhysicalParams, critical_time, spectrum_table
+from ggkdv.spectral import (PRESETS, PhysicalParams, _to_real, critical_time,
+                            spectrum_table)
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
@@ -146,9 +149,9 @@ class TestRealFactorization:
         GENERIC, RESONANT, PhysicalParams(0.37, 2.2, 1.3, 0.8)],
         ids=["generic", "resonant", "custom"])
     def test_kernel_columns_exact(self, params, N):
-        # the completion needs R v = 0: Lambda's and R's k=0 columns are
-        # equal (f_only) or opposite (g_only) bit for bit.  R @ v itself is
-        # not asserted, since a fused multiply-add can leave 1e-17 in it
+        # the completion needs R v = 0: Lambda's, R's and C+'s k=0 columns
+        # are equal (f_only) or opposite (g_only) bit for bit.  R @ v itself
+        # is not asserted, since a fused multiply-add can leave 1e-17 in it
         T0 = critical_time(RESONANT)
         for mode in ("f_only", "g_only"):
             for x0 in (0.0, 0.9365, 2.5):
@@ -162,6 +165,35 @@ class TestRealFactorization:
                     R = (R + R.T) / 2
                     for M in (system.matrix, R):
                         assert np.array_equal(M[:, a], sign * M[:, b])
+                    # the solves complete C+, whose k=0 columns are 0 and N+1
+                    plus, _ = _parity_blocks(system.rows, system.omega,
+                                             T / 2)
+                    assert np.array_equal(plus[:, 0], sign * plus[:, N + 1])
+
+    @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
+    @pytest.mark.parametrize("x0", [0.0, 0.9365])
+    @pytest.mark.parametrize("N", [6, 16, 64])
+    @pytest.mark.parametrize("preset, T", [
+        ("generic", 1.0), ("generic", 0.5), ("resonant", None)])
+    def test_blocks_are_the_real_form(self, preset, T, N, x0, mode):
+        # in the real-field basis U, R = Re(D^H Lambda D) is diag(C+, C-):
+        # C+ over the u_k and e_0 at the indices of k >= 0, C- over the v_k
+        # at the indices of -k, k > 0
+        params = PRESETS[preset]
+        T = T or 1.2 * critical_time(params)
+        system = assemble_lambda(params, N, x0, T, mode)
+        D = system.phases
+        R = (np.conj(D)[:, None] * system.matrix * D).real
+        R = (R + R.T) / 2
+        URU = _to_real(np.conj(_to_real(R)).T).conj().T
+        ks = np.arange(N + 1)
+        at_plus = np.r_[N + ks, 3 * N + 1 + ks]
+        at_minus = np.r_[N - ks[1:], 3 * N + 1 - ks[1:]]
+        plus, minus = _parity_blocks(system.rows, system.omega, T / 2)
+        tol = 1e-15 * np.max(np.abs(R))
+        assert np.max(np.abs(URU[np.ix_(at_plus, at_plus)] - plus)) <= tol
+        assert np.max(np.abs(URU[np.ix_(at_minus, at_minus)] - minus)) <= tol
+        assert not np.any(URU[np.ix_(at_plus, at_minus)])
 
     def test_resonant_roundtrip_digits(self):
         # refinement residuals against the complex Lambda over [0, T], whose
@@ -230,6 +262,10 @@ class TestSolveControl:
         s = np.conj(plan.adjoint_seed)
         form = float(np.real(np.vdot(s, system.matrix @ s)))
         assert control_cost(plan) == pytest.approx(form, rel=1e-9)
+        # and, as Lambda s = rhs, cost = Re<s, rhs>, whatever Lambda is
+        rhs = _duality_rhs(GENERIC, initial)
+        assert control_cost(plan) == pytest.approx(np.vdot(s, rhs).real,
+                                                   rel=1e-9)
 
     def test_plan_linearity(self):
         rng = np.random.default_rng(5)
@@ -302,25 +338,26 @@ class TestSolveControl:
             assert plan.error_estimate <= 0.1 * ERROR_EST_LIMIT
 
     def test_system_factored_once(self, monkeypatch):
-        # repeated solves against one system reuse its eigenvalues and
-        # Cholesky factor
-        calls = []
-        for name in ("eigvalsh", "cho_factor"):
-            fn = getattr(scipy.linalg, name)
-            monkeypatch.setattr(
-                scipy.linalg, name,
-                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        # the first solve takes one eigh per parity block, of sizes 2(N+1)
+        # and 2N; repeated solves against one system reuse them
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *r, **k: shapes.append(a.shape)
+                            or eigh(a, *r, **k))
         rng = np.random.default_rng(62)
         N, T = 5, 1.0
         system = assemble_lambda(GENERIC, N, 0.0, T, "f_only")
-        for _ in range(3):
+        for i in range(3):
             dim = 2 * (2 * N + 1)
             seed = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             initial = reachable_defect(GENERIC, N, 0.0, T, "f_only", seed,
                                        system=system)
             solve_control(GENERIC, N, 0.0, T, initial, ModalState.zeros(N),
                           "f_only", system=system)
-        assert sorted(calls) == ["cho_factor", "eigvalsh"]
+            if i == 0:
+                assert shapes == [(2 * (N + 1),) * 2, (2 * N,) * 2]
+        assert len(shapes) == 2
 
     def test_negative_horizon_rejected(self):
         # a Gram over (T, 0) has the opposite sign of the directed Duhamel

@@ -1,9 +1,12 @@
-"""scipy stays out of the import of ggkdv and out of the observe path."""
+"""scipy stays out of the import of ggkdv and out of the observe and
+control paths."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ggkdv
 
@@ -24,15 +27,19 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-def test_observe_command_runs_without_scipy(tmp_path):
+@pytest.mark.parametrize("command, output, module", [
+    ("observe", "observability.csv", "ggkdv.gram"),
+    ("control", "plan.json", "ggkdv.hum"),
+], ids=["observe", "control"])
+def test_command_runs_without_scipy(tmp_path, command, output, module):
     # -X importtime lists every module the process imports on stderr
-    proc = run_python("-X", "importtime", "-m", "ggkdv.cli", "observe",
+    proc = run_python("-X", "importtime", "-m", "ggkdv.cli", command,
                       "--preset", "generic", "--out", str(tmp_path),
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "observability.csv").exists()
+    assert (tmp_path / output).exists()
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "ggkdv.gram" in imported
+    assert module in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]

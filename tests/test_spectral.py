@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ggkdv.errors import GGKdVError
 from ggkdv.gram import ObservationWindow, observability_constants
 from ggkdv.spectral import (
     PRESETS,
@@ -314,3 +315,22 @@ class TestSpectrumTable:
 
     def test_caching_returns_same_object(self):
         assert spectrum_table(GENERIC, 6) is spectrum_table(GENERIC, 6)
+
+    @pytest.mark.parametrize("params, N", [
+        # ac/d underflows to 0 or overflows to inf
+        (PhysicalParams(1e-300, 1e-300, 1.0, 1.0), 4),
+        (PhysicalParams(1e-200, 1.0, 1e200, 1.0), 4),
+        (PhysicalParams(1.0, 1.0, 1e-310, 1.0), 4),
+        # ac/d is subnormal, its reciprocal overflows
+        (PhysicalParams(1e-155, 1e-155, 1.0, 1.0), 4),
+        # the norms overflow, already at k = 0
+        (PhysicalParams(1e300, 1.0, 1.0, 1.0), 0),
+        # 4acd overflows in the frequencies
+        (PhysicalParams(1e300, 1.0, 1e9, 1.0), 2),
+    ])
+    def test_unrepresentable_table_raises(self, params, N):
+        # under warnings as errors, a table that is not finite in double
+        # precision raises the package's error, naming its inputs
+        named = rf"a=.*, c=.*, d=.*, r=.*\) at N={N}\b"
+        with pytest.raises(GGKdVError, match=named):
+            spectrum_table(params, N)
