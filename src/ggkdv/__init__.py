@@ -24,7 +24,7 @@ from .spectral import (PRESETS, Branch, EigenPair, GapReport, PhysicalParams,
                        resonance_check, spectrum_table, symbol_matrix,
                        trace_amplitudes)
 from .stabilize import (DecayReport, FeedbackGains, closed_loop_simulate,
-                        feedback_gains, spectral_abscissa, zero_gains)
+                        feedback_gains, zero_gains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

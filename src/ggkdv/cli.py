@@ -46,16 +46,20 @@ _KEYS = frozenset({
     "window_length", "window_lengths", "frequencies", "freq_min",
     "freq_max", "t0", "t1", "T", "initial", "target", "omega_target", "Th",
     "T_sim", "draws"})
+_MAX_N = (np.iinfo(np.intp).max - 2) // 4  # 2(2N+1) coefficients indexable
 
 
-def _int(key: str, val, minimum: int | None = 0) -> int:
-    """An integer config value (integral floats pass), at least ``minimum``."""
+def _int(key: str, val, minimum: int | None = 0,
+         maximum: int | None = None) -> int:
+    """An integer config value (integral floats pass) within the bounds."""
     if isinstance(val, float) and val.is_integer():
         val = int(val)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{key} must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}")
     return val
 
 
@@ -120,7 +124,7 @@ def _signal_terms(sig) -> list[dict]:
 
 
 def cmd_spectrum(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 8))
+    N = _int("N", cfg.get("N", 8), maximum=_MAX_N)
     table = spectral.spectrum_table(params, N)
     rows = []
     for b in (spectral.Branch.PLUS, spectral.Branch.MINUS):
@@ -136,7 +140,7 @@ def cmd_spectrum(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_gaps(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 200), minimum=2)
+    N = _int("N", cfg.get("N", 200), minimum=2, maximum=_MAX_N)
     report = spectral.gap_report(params, N)
     rows = []
     ks = np.arange(-N, N)
@@ -157,7 +161,7 @@ def cmd_gaps(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_resonance(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 12))
+    N = _int("N", cfg.get("N", 12), maximum=_MAX_N)
     tol = _float("tol", cfg.get("tol", 1e-9), positive=True)
     report = spectral.resonance_check(params, N, tol)
     rows = [(str(k1), str(b1), str(k2), str(b2))
@@ -170,8 +174,8 @@ def cmd_resonance(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
-    ns = [_int("ns", N) for N in _list(cfg, "ns")] \
-        or [_int("N", cfg.get("N", 8))]
+    ns = [_int("ns", N, maximum=_MAX_N) for N in _list(cfg, "ns")] \
+        or [_int("N", cfg.get("N", 8), maximum=_MAX_N)]
     mode = _mode(cfg, {"both": "both", "u": "u_only", "v": "v_only"})
     lengths = [_float("window_lengths", length, positive=True)
                for length in _list(cfg, "window_lengths")] \
@@ -216,7 +220,7 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6))
+    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
     x0 = _float("x0", cfg.get("x0", 0.0))
     T0 = spectral.critical_time(params)
     T = _float("T", cfg.get("T", 1.2 * T0 if T0 else 1.0), positive=True)
@@ -244,7 +248,7 @@ def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6))
+    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
     x0 = _float("x0", cfg.get("x0", 0.0))
     omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
     T0 = spectral.critical_time(params)
@@ -273,7 +277,7 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_duality(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6))
+    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
     x0 = _float("x0", cfg.get("x0", 0.0))
     T = _float("T", cfg.get("T", 1.0))
     draws = _int("draws", cfg.get("draws", 5))
@@ -324,7 +328,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 cfg = json.loads(args.config.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # not JSON, or too many digits
                 raise ConfigError(f"cannot read config: {exc}") from exc
             if not isinstance(cfg, dict):
                 raise ConfigError("config must be a JSON object")
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
     except IllConditioned as exc:
         print(f"ill-conditioned: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GGKdVError) as exc:
+    except (ConfigError, GGKdVError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
 

@@ -137,6 +137,10 @@ class TestDeterminism:
             assert outs[0][name] == outs[1][name], name
 
 
+# the commands that read a truncation order N
+SIZED = sorted(set(cli._DISPATCH) - {"ingham"})
+
+
 class TestErrors:
     def test_bad_preset_exit_4(self, tmp_path, capsys):
         assert run_cli(tmp_path, "spectrum", config={"preset": "nope"}) == 4
@@ -241,17 +245,33 @@ class TestErrors:
         # the weight ac/d underflows to 0; the table's norms overflow
         ("spectrum", {"a": 1e-300, "c": 1e-300}),
         ("control", {"a": 1e300}),
+        # N = 1e300 is beyond what numpy can index and is refused before
+        # any allocation; 10**14 asks for 1.6 PB, more than any address
+        # space maps
+        *((command, {"N": N}) for command in SIZED for N in (1e300, 10**14)),
+        ("observe", {"ns": [4, 1e300]}),
+        ("observe", {"ns": [4, 10**14]}),
     ], ids=["stabilize-below-T0", "stabilize-negative-rate",
             "stabilize-resonant-pairs", "stabilize-zero-state",
             "control-zero-horizon", "control-negative-horizon",
             "stabilize-underflow-step", "stabilize-tiny-horizon",
-            "spectrum-weight-underflow", "control-table-overflow"])
+            "spectrum-weight-underflow", "control-table-overflow",
+            *(f"{command}-N-{N:.0e}" for command in SIZED
+              for N in (1e300, 10**14)),
+            "observe-ns-1e+300", "observe-ns-1e+14"])
     def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(tmp_path, command, config=cfg) == 4
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+
+    def test_int_over_digit_limit_exit_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"N": ' + "1" * 5000 + "}")
+        assert main(["spectrum", "--out", str(tmp_path),
+                     "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_generic_single_control_exit_3(self, tmp_path, capsys):
         # mean-matched generic data below the single-trace threshold: the
