@@ -18,9 +18,8 @@ from .modal import (GridFunction, ModalState, adjoint_trace, energy, evolve,
                     forced_evolve, h_norm, project, reconstruct, trace,
                     u_mean, v_mean)
 from .signals import ExponentialSignal, exp_poly_integral
-from .spectral import (PRESETS, Branch, EigenPair, GapReport, PhysicalParams,
-                       SpectrumTable, adjoint_eigenvectors, critical_time,
-                       eigenfrequencies, eigenvectors, gap_report,
+from .spectral import (PRESETS, Branch, GapReport, PhysicalParams,
+                       SpectrumTable, critical_time, gap_report,
                        resonance_check, spectrum_table, symbol_matrix,
                        trace_amplitudes)
 from .stabilize import (DecayReport, FeedbackGains, closed_loop_simulate,

@@ -73,6 +73,15 @@ def _float(key: str, val, positive: bool = False) -> float:
     return float(val)
 
 
+def _x0(cfg: dict) -> float:
+    """x0 within [-2 pi, 2 pi], which holds every point of the circle."""
+    x0 = cfg.get("x0", 0.0)
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) \
+            or not abs(x0) <= 2 * np.pi:
+        raise ConfigError(f"x0 must lie in [-2π, 2π], got {x0!r}")
+    return float(x0)
+
+
 def _mode(cfg: dict, aliases: dict) -> str:
     """Mode from its short alias or its full name."""
     mode = cfg.get("mode", "both")
@@ -181,7 +190,7 @@ def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
                for length in _list(cfg, "window_lengths")] \
         or [_float("window_length", cfg.get("window_length", 1.0),
                    positive=True)]
-    x0 = _float("x0", cfg.get("x0", 0.0))
+    x0 = _x0(cfg)
     rows = []
     for N in ns:
         for length in lengths:
@@ -221,7 +230,7 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
 
 def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _float("x0", cfg.get("x0", 0.0))
+    x0 = _x0(cfg)
     T0 = spectral.critical_time(params)
     T = _float("T", cfg.get("T", 1.2 * T0 if T0 else 1.0), positive=True)
     mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
@@ -249,7 +258,7 @@ def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
 
 def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _float("x0", cfg.get("x0", 0.0))
+    x0 = _x0(cfg)
     omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
     T0 = spectral.critical_time(params)
     Th = _float("Th", cfg.get("Th", 1.5 * T0 if T0 else 2.0))
@@ -278,7 +287,7 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
 
 def cmd_duality(cfg, params, out: Path, quiet: bool) -> int:
     N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _float("x0", cfg.get("x0", 0.0))
+    x0 = _x0(cfg)
     T = _float("T", cfg.get("T", 1.0))
     draws = _int("draws", cfg.get("draws", 5))
     rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))

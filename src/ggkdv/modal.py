@@ -16,8 +16,6 @@ from .errors import AliasError
 from .signals import ExponentialSignal, exp_kernel, stack_terms
 from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
-REAL_FIELD_TOL = 1e-12
-
 
 @dataclass(eq=False)
 class ModalState:
@@ -54,11 +52,6 @@ class ModalState:
     def scaled(self, factor: complex) -> "ModalState":
         return ModalState(self.N, self.coeffs * factor)
 
-    def is_real_field(self) -> bool:
-        dev = np.abs(self.coeffs - np.conj(self.coeffs[:, ::-1]))
-        return float(np.max(dev)) <= REAL_FIELD_TOL * max(
-            1.0, float(np.max(np.abs(self.coeffs))))
-
 
 @dataclass(eq=False)
 class GridFunction:
@@ -76,10 +69,6 @@ class GridFunction:
     @property
     def M(self) -> int:
         return len(self.u)
-
-    @property
-    def x(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.M) / self.M
 
 
 def _fourier_coeffs(samples: np.ndarray, N: int) -> np.ndarray:
@@ -133,23 +122,20 @@ def h_norm(params: PhysicalParams, state: ModalState) -> float:
     return float(np.sqrt(energy(params, state)))
 
 
+def _mean(params: PhysicalParams, state: ModalState, channel: int) -> complex:
+    """2 pi times the k = 0 Fourier coefficient of channel (u, v)."""
+    z, c, k0 = spectrum_table(params, state.N).z, state.coeffs, state.N
+    return 2 * np.pi * complex(c[0, k0] * z[0, k0, channel]
+                               + c[1, k0] * z[1, k0, channel])
+
+
 def u_mean(params: PhysicalParams, state: ModalState) -> complex:
     """``integral u dx`` = 2 pi * hat{u}_0; conserved when f is absent."""
-    table = spectrum_table(params, state.N)
-    col = state.N
-    return 2 * np.pi * complex(
-        state.coeffs[0, col] * table.z[0, col, 0]
-        + state.coeffs[1, col] * table.z[1, col, 0]
-    )
+    return _mean(params, state, 0)
 
 
 def v_mean(params: PhysicalParams, state: ModalState) -> complex:
-    table = spectrum_table(params, state.N)
-    col = state.N
-    return 2 * np.pi * complex(
-        state.coeffs[0, col] * table.z[0, col, 1]
-        + state.coeffs[1, col] * table.z[1, col, 1]
-    )
+    return _mean(params, state, 1)
 
 
 def _traces(params: PhysicalParams, state: ModalState, x0: float,
@@ -176,15 +162,6 @@ def adjoint_modal_uv(params: PhysicalParams, state: ModalState) -> np.ndarray:
     """Fourier coefficients (hat phi_k, hat psi_k) of an adjoint-basis state."""
     table = spectrum_table(params, state.N)
     return np.einsum("bkj,bk->jk", table.zt, state.coeffs)
-
-
-def adjoint_project_uv(params: PhysicalParams, N: int, uv: np.ndarray) -> ModalState:
-    """Decompose Fourier coefficients onto the adjoint eigenbasis (dual
-    weight d/(ac))."""
-    table = spectrum_table(params, N)
-    w = 1.0 / params.weight
-    coeffs = (table.zt[:, :, 0] * uv[0] + w * table.zt[:, :, 1] * uv[1]) / table.adj_norm2
-    return ModalState(N, coeffs)
 
 
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,

@@ -139,10 +139,6 @@ class ExponentialSignal:
         )
         return ExponentialSignal(kept)
 
-    @staticmethod
-    def zero() -> "ExponentialSignal":
-        return ExponentialSignal(())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -71,23 +71,13 @@ PRESETS = {
 
 
 class Branch(enum.IntEnum):
-    """Spectral branch label; the value is the sign in the frequency formula."""
+    """Spectral branch label, the row of the ``SpectrumTable`` arrays."""
 
     PLUS = 0
     MINUS = 1
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Branch.PLUS else -1
-
     def __str__(self) -> str:
         return "+" if self is Branch.PLUS else "-"
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    omega: float
-    z: np.ndarray  # real 2-vector (u-part, v-part)
 
 
 def symbol_matrix(params: PhysicalParams, k: int) -> np.ndarray:
@@ -124,35 +114,6 @@ def _closed_forms(params: PhysicalParams, ks):
     return omega, z, zt
 
 
-def _pairs(params: PhysicalParams, k: int, adjoint: bool) -> tuple[EigenPair, EigenPair]:
-    omega, z, zt = _closed_forms(params, [k])
-    vecs = zt if adjoint else z
-    return tuple(EigenPair(float(omega[b, 0]), vecs[b, 0]) for b in Branch)
-
-
-def eigenfrequencies(params: PhysicalParams, k: int) -> tuple[float, float]:
-    """Both branch frequencies (omega_plus, omega_minus) of mode k; for
-    k > 0 this gives omega_plus >= omega_minus."""
-    omega = _closed_forms(params, [k])[0][:, 0]
-    return float(omega[0]), float(omega[1])
-
-
-def eigenvectors(params: PhysicalParams, k: int) -> tuple[EigenPair, EigenPair]:
-    """Closed-form eigenpairs (plus, minus) of mode k."""
-    return _pairs(params, k, adjoint=False)
-
-
-def adjoint_eigenvectors(params: PhysicalParams, k: int) -> tuple[EigenPair, EigenPair]:
-    """Eigenpairs of the transposed symbol (same frequencies), orthogonal
-    under the dual weight d/(a c)."""
-    return _pairs(params, k, adjoint=True)
-
-
-def weighted_inner(params: PhysicalParams, y: np.ndarray, z: np.ndarray) -> complex:
-    """Energy-weight inner product of two C^2 vectors."""
-    return y[0] * np.conj(z[0]) + params.weight * y[1] * np.conj(z[1])
-
-
 def critical_time(params: PhysicalParams) -> float:
     """Minimal window length for inverse observability, 2 pi / (asymptotic
     minus-branch gap) = 2 pi (c+1)/r; positive only in the degenerate
@@ -169,18 +130,11 @@ class SpectrumTable:
     Arrays are indexed ``[branch, k + N]`` with branch 0 = plus, 1 = minus.
     """
 
-    params: PhysicalParams
     N: int
     omega: np.ndarray       # (2, 2N+1) frequencies
     z: np.ndarray           # (2, 2N+1, 2) forward eigenvectors (real)
     zt: np.ndarray          # (2, 2N+1, 2) adjoint eigenvectors (real)
     norm2: np.ndarray       # (2, 2N+1) weighted norms ||Z||_w^2
-    adj_norm2: np.ndarray   # (2, 2N+1) adjoint norms under weight d/(ac)
-
-    def col(self, k: int) -> int:
-        if abs(k) > self.N:
-            raise IndexError(f"mode {k} outside truncation N={self.N}")
-        return k + self.N
 
     @property
     def ks(self) -> np.ndarray:
@@ -203,10 +157,10 @@ def spectrum_table(params: PhysicalParams, N: int) -> SpectrumTable:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega, z, zt = _closed_forms(params, np.arange(-N, N + 1))
         norm2 = z[:, :, 0] ** 2 + w * z[:, :, 1] ** 2
-        adj_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
-    if not all(np.all(np.isfinite(a)) for a in (omega, norm2, adj_norm2)):
+        adjoint_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
+    if not all(np.all(np.isfinite(a)) for a in (omega, norm2, adjoint_norm2)):
         raise GGKdVError(f"{params} at N={N} has no finite spectrum table")
-    return SpectrumTable(params, N, omega, z, zt, norm2, adj_norm2)
+    return SpectrumTable(N, omega, z, zt, norm2)
 
 
 def trace_amplitudes(params: PhysicalParams, N: int, x0: float,

@@ -32,12 +32,9 @@ from ggkdv.spectral import (
     PRESETS,
     PhysicalParams,
     critical_time,
-    eigenfrequencies,
-    eigenvectors,
     gap_report,
     spectrum_table,
     symbol_matrix,
-    weighted_inner,
 )
 from ggkdv.stabilize import (
     closed_loop_simulate,
@@ -64,18 +61,18 @@ def char_poly_residual(params, k, omega):
 def test_criterion_01_spectral_correctness():
     worst_poly = worst_rel = worst_orth = 0.0
     for p in (GENERIC, RESONANT):
+        t = spectrum_table(p, 64)
         for k in range(-64, 65):
             S = symbol_matrix(p, k)
-            for pair in eigenvectors(p, k):
-                worst_poly = max(worst_poly,
-                                 char_poly_residual(p, k, pair.omega))
-                res = np.linalg.norm(S @ pair.z - pair.omega * pair.z)
-                scale = max(1.0, abs(pair.omega)) * np.linalg.norm(pair.z)
+            for omega, z in zip(t.omega[:, k + t.N], t.z[:, k + t.N]):
+                worst_poly = max(worst_poly, char_poly_residual(p, k, omega))
+                res = np.linalg.norm(S @ z - omega * z)
+                scale = max(1.0, abs(omega)) * np.linalg.norm(z)
                 worst_rel = max(worst_rel, res / scale)
-            ep, em = eigenvectors(p, k)
-            ip = abs(weighted_inner(p, ep.z, em.z))
-            worst_orth = max(worst_orth, ip / (np.linalg.norm(ep.z)
-                                               * np.linalg.norm(em.z)))
+            zp, zm = t.z[:, k + t.N]
+            ip = abs(zp[0] * np.conj(zm[0]) + p.weight * zp[1] * np.conj(zm[1]))
+            worst_orth = max(worst_orth, ip / (np.linalg.norm(zp)
+                                               * np.linalg.norm(zm)))
     assert worst_poly <= 1e-9
     assert worst_rel <= 1e-10
     assert worst_orth <= 1e-12
@@ -84,7 +81,8 @@ def test_criterion_01_spectral_correctness():
     for _ in range(20):
         p = PhysicalParams(*np.exp(rng.uniform(-1.5, 1.5, size=4)))
         k = int(rng.integers(-64, 65))
-        wp, wm = eigenfrequencies(p, k)
+        t = spectrum_table(p, abs(k))
+        wp, wm = t.omega[:, k + t.N]
         ev = np.sort(np.linalg.eigvals(symbol_matrix(p, k)).real)
         scale = max(1.0, abs(wp), abs(wm))
         worst_eig = max(worst_eig,
@@ -99,12 +97,12 @@ def test_criterion_01_spectral_correctness():
 
 def test_criterion_02_gap_asymptotics():
     rep = gap_report(GENERIC, 102)
-    gp = (eigenfrequencies(GENERIC, 101)[0]
-          - eigenfrequencies(GENERIC, 100)[0])
+    t = spectrum_table(GENERIC, 101)
+    gp = t.omega[0, 101 + t.N] - t.omega[0, 100 + t.N]
     ratio = gp / (3 * rep.A_const * 100**2)
     assert abs(ratio - 1) <= 0.02
-    gm = (eigenfrequencies(RESONANT, 201)[1]
-          - eigenfrequencies(RESONANT, 200)[1])
+    t = spectrum_table(RESONANT, 201)
+    gm = t.omega[1, 201 + t.N] - t.omega[1, 200 + t.N]
     assert abs(gm - (-0.5)) <= 0.05
     dens = gap_report(RESONANT, 400).D_plus_estimate
     assert abs(dens - 2.0) <= 0.2

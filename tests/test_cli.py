@@ -36,12 +36,13 @@ class TestSpectrum:
     def test_seventeen_digit_roundtrip(self, tmp_path):
         run_cli(tmp_path, "spectrum", config={"preset": "generic", "N": 3})
         lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
-        from ggkdv.spectral import PRESETS, eigenfrequencies
+        from ggkdv.spectral import PRESETS, spectrum_table
+        t = spectrum_table(PRESETS["generic"], 3)
         for ln in lines[1:]:
             parts = ln.split(",")
             k, omega = int(parts[0]), float(parts[2])
             branch = 0 if parts[1] == "+" else 1
-            exact = eigenfrequencies(PRESETS["generic"], k)[branch]
+            exact = t.omega[branch, k + t.N]
             assert omega == exact  # 17 significant digits round-trip exactly
 
 
@@ -139,6 +140,8 @@ class TestDeterminism:
 
 # the commands that read a truncation order N
 SIZED = sorted(set(cli._DISPATCH) - {"ingham"})
+# the commands that read an observation or control point x0
+X0_COMMANDS = ["control", "duality", "observe", "stabilize"]
 
 
 class TestErrors:
@@ -251,6 +254,10 @@ class TestErrors:
         *((command, {"N": N}) for command in SIZED for N in (1e300, 10**14)),
         ("observe", {"ns": [4, 1e300]}),
         ("observe", {"ns": [4, 10**14]}),
+        # far out, k x0 swamps the phases of the operators
+        *((command, {"preset": "generic", "N": 8, "x0": 1e308})
+          for command in X0_COMMANDS),
+        ("control", {"preset": "generic", "N": 8, "x0": 1e14}),
     ], ids=["stabilize-below-T0", "stabilize-negative-rate",
             "stabilize-resonant-pairs", "stabilize-zero-state",
             "control-zero-horizon", "control-negative-horizon",
@@ -258,7 +265,9 @@ class TestErrors:
             "spectrum-weight-underflow", "control-table-overflow",
             *(f"{command}-N-{N:.0e}" for command in SIZED
               for N in (1e300, 10**14)),
-            "observe-ns-1e+300", "observe-ns-1e+14"])
+            "observe-ns-1e+300", "observe-ns-1e+14",
+            *(f"{command}-x0-1e+308" for command in X0_COMMANDS),
+            "control-x0-1e+14"])
     def test_rejected_run_exit_4(self, tmp_path, capsys, command, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -87,7 +87,7 @@ class TestExponentialSignal:
         assert sig.terms == ((3.0 + 0.0j, 2.0, 0),)
 
     def test_zero_signal_falsy(self):
-        assert not ExponentialSignal.zero()
+        assert not ExponentialSignal()
         assert ExponentialSignal(((1.0, 0.0, 0),))
 
     def test_add_and_scale(self):
@@ -119,8 +119,8 @@ class TestExponentialSignal:
         assert isinstance(got, complex)
         assert abs(got - complex(sum(amp * 0.7**deg * np.exp(0.7j * f)
                                      for amp, f, deg in terms))) <= bound
-        assert ExponentialSignal.zero().evaluate(0.7) == 0
-        assert ExponentialSignal.zero().evaluate(t).shape == t.shape
+        assert ExponentialSignal().evaluate(0.7) == 0
+        assert ExponentialSignal().evaluate(t).shape == t.shape
 
     def test_l2_inner_against_quadrature(self):
         rng = np.random.default_rng(2)
@@ -149,7 +149,7 @@ class TestExponentialSignal:
         sig = ExponentialSignal(((1.0, 5.0, 0), (-1.0, 5.0 + 1e-3, 0)))
         n = sig.l2_norm_sq(0.0, 1.0)
         assert 0 < n < 1e-3
-        assert ExponentialSignal.zero().l2_norm_sq(0.0, 1.0) == 0.0
+        assert ExponentialSignal().l2_norm_sq(0.0, 1.0) == 0.0
 
 
 class TestMpmathOracle:

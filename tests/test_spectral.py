@@ -9,15 +9,11 @@ from ggkdv.spectral import (
     PRESETS,
     Branch,
     PhysicalParams,
-    adjoint_eigenvectors,
     critical_time,
-    eigenfrequencies,
-    eigenvectors,
     gap_report,
     resonance_check,
     spectrum_table,
     symbol_matrix,
-    weighted_inner,
 )
 
 ONES = PhysicalParams(1.0, 1.0, 1.0, 1.0)
@@ -76,10 +72,11 @@ class TestSymbolMatrix:
 
 class TestEigenfrequencies:
     def test_k0_both_zero(self):
-        assert eigenfrequencies(ONES, 0) == (0.0, 0.0)
+        assert tuple(spectrum_table(ONES, 0).omega[:, 0]) == (0.0, 0.0)
 
     def test_ones_k1_golden_ratio(self):
-        wp, wm = eigenfrequencies(ONES, 1)
+        t = spectrum_table(ONES, 1)
+        wp, wm = t.omega[:, 1 + t.N]
         assert wp == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
         assert wm == pytest.approx((1 - math.sqrt(5)) / 2, abs=1e-14)
         # oracle: numeric eigensolve of the symbol matrix
@@ -90,22 +87,25 @@ class TestEigenfrequencies:
         # branch label follows the formula sign, so omega(-k) = -omega(k)
         # per branch (not per value order)
         for p in (ONES, GENERIC):
+            t = spectrum_table(p, 7)
             for k in (1, 2, 7):
-                wp, wm = eigenfrequencies(p, k)
-                wpn, wmn = eigenfrequencies(p, -k)
+                wp, wm = t.omega[:, k + t.N]
+                wpn, wmn = t.omega[:, -k + t.N]
                 assert wpn == pytest.approx(-wp, rel=1e-14)
                 assert wmn == pytest.approx(-wm, rel=1e-14)
 
     def test_plus_above_minus_for_positive_k(self):
         for p in (ONES, GENERIC):
+            t = spectrum_table(p, 29)
             for k in range(1, 30):
-                wp, wm = eigenfrequencies(p, k)
+                wp, wm = t.omega[:, k + t.N]
                 assert wp >= wm
 
     def test_char_poly_residual_presets(self):
         for p in (GENERIC, RESONANT):
+            t = spectrum_table(p, 64)
             for k in range(-64, 65):
-                for w in eigenfrequencies(p, k):
+                for w in t.omega[:, k + t.N]:
                     assert char_poly_residual(p, k, w) <= 1e-9
 
     def test_random_params_against_numeric_eigensolve(self):
@@ -113,7 +113,8 @@ class TestEigenfrequencies:
         for _ in range(20):
             p = PhysicalParams(*np.exp(rng.uniform(-1.5, 1.5, size=4)))
             k = int(rng.integers(-64, 65))
-            wp, wm = eigenfrequencies(p, k)
+            t = spectrum_table(p, abs(k))
+            wp, wm = t.omega[:, k + t.N]
             ev = np.sort(np.linalg.eigvals(symbol_matrix(p, k)).real)
             scale = max(1.0, abs(wp), abs(wm))
             assert abs(ev[1] - max(wp, wm)) <= 1e-10 * scale
@@ -122,18 +123,19 @@ class TestEigenfrequencies:
 
 class TestEigenvectors:
     def test_k0_ones(self):
-        ep, em = eigenvectors(ONES, 0)
-        assert np.allclose(ep.z, [2, 2])
-        assert np.allclose(em.z, [2, -2])
+        zp, zm = spectrum_table(ONES, 0).z[:, 0]
+        assert np.allclose(zp, [2, 2])
+        assert np.allclose(zm, [2, -2])
 
     def test_eigen_relation(self):
         # S_k Z = omega Z, relative residual <= 1e-10
         for p in (GENERIC, RESONANT):
+            t = spectrum_table(p, 64)
             for k in range(-64, 65):
                 S = symbol_matrix(p, k)
-                for pair in eigenvectors(p, k):
-                    res = S @ pair.z - pair.omega * pair.z
-                    scale = max(1.0, abs(pair.omega)) * np.linalg.norm(pair.z)
+                for omega, z in zip(t.omega[:, k + t.N], t.z[:, k + t.N]):
+                    res = S @ z - omega * z
+                    scale = max(1.0, abs(omega)) * np.linalg.norm(z)
                     assert np.linalg.norm(res) <= 1e-10 * scale
 
     def test_weighted_orthogonality(self):
@@ -141,43 +143,52 @@ class TestEigenvectors:
         for _ in range(20):
             p = PhysicalParams(*np.exp(rng.uniform(-1, 1, size=4)))
             k = int(rng.integers(-50, 51))
-            ep, em = eigenvectors(p, k)
-            ip = weighted_inner(p, ep.z, em.z)
-            assert abs(ip) <= 1e-12 * np.linalg.norm(ep.z) * np.linalg.norm(em.z)
+            t = spectrum_table(p, abs(k))
+            zp, zm = t.z[:, k + t.N]
+            ip = zp[0] * np.conj(zm[0]) + p.weight * zp[1] * np.conj(zm[1])
+            assert abs(ip) <= 1e-12 * np.linalg.norm(zp) * np.linalg.norm(zm)
 
     def test_even_in_k(self):
         for p in (GENERIC, RESONANT):
+            t = spectrum_table(p, 11)
             for k in (1, 3, 11):
-                zp, zm = eigenvectors(p, k)
-                zpn, zmn = eigenvectors(p, -k)
-                assert np.allclose(zp.z, zpn.z, atol=1e-14)
-                assert np.allclose(zm.z, zmn.z, atol=1e-14)
+                zp, zm = t.z[:, k + t.N]
+                zpn, zmn = t.z[:, -k + t.N]
+                assert np.allclose(zp, zpn, atol=1e-14)
+                assert np.allclose(zm, zmn, atol=1e-14)
 
     def test_large_k_limit(self):
         a, c, d = ONES.a, ONES.c, ONES.d
         root = math.sqrt(4 * a * c * d + (c - 1) ** 2)
-        ep, em = eigenvectors(ONES, 10**4)
-        assert np.allclose(ep.z, [2 * a * c, 1 - c + root], atol=1e-6)
-        assert np.allclose(em.z, [2 * a * c, 1 - c - root], atol=1e-6)
+        t = spectrum_table(ONES, 10**4)
+        zp, zm = t.z[:, 10**4 + t.N]
+        assert np.allclose(zp, [2 * a * c, 1 - c + root], atol=1e-6)
+        assert np.allclose(zm, [2 * a * c, 1 - c - root], atol=1e-6)
 
     def test_norms_uniformly_bounded(self):
         table = spectrum_table(GENERIC, 10**3)
         norms = np.sqrt(table.norm2)
         assert 0.1 < norms.min() <= norms.max() < 100.0
         # spot-check very large k directly
+        t = spectrum_table(GENERIC, 10**4)
         for k in (10**4, -10**4):
-            for pair in eigenvectors(GENERIC, k):
-                n = math.sqrt(abs(weighted_inner(GENERIC, pair.z, pair.z)))
+            for z in t.z[:, k + t.N]:
+                ip = z[0] * np.conj(z[0]) + GENERIC.weight * z[1] * np.conj(z[1])
+                n = math.sqrt(abs(ip))
                 assert 0.1 < n < 100.0
 
     def test_adjoint_shares_frequencies_and_v_component(self):
+        # the table holds one frequency array for both bases: the adjoint
+        # vectors are eigenvectors of the transposed symbol at those omegas
+        t = spectrum_table(GENERIC, 9)
         for k in (-5, 0, 1, 9):
-            fw = eigenvectors(GENERIC, k)
-            adj = adjoint_eigenvectors(GENERIC, k)
-            for f, ad in zip(fw, adj):
-                assert ad.omega == f.omega
-                assert ad.z[0] == pytest.approx(2 * GENERIC.d)
-                assert ad.z[1] == pytest.approx(f.z[1])
+            S = symbol_matrix(GENERIC, k)
+            for omega, z, zt in zip(t.omega[:, k + t.N], t.z[:, k + t.N],
+                                    t.zt[:, k + t.N]):
+                res = np.linalg.norm(S.T @ zt - omega * zt)
+                assert res <= 1e-10 * max(1.0, abs(omega)) * np.linalg.norm(zt)
+                assert zt[0] == pytest.approx(2 * GENERIC.d)
+                assert zt[1] == pytest.approx(z[1])
 
     def test_biorthogonality_forward_adjoint(self):
         # plain dot product of opposite-branch forward/adjoint vectors is 0
@@ -185,11 +196,12 @@ class TestEigenvectors:
         for _ in range(10):
             p = PhysicalParams(*np.exp(rng.uniform(-1, 1, size=4)))
             k = int(rng.integers(-20, 21))
-            (fp, fm) = eigenvectors(p, k)
-            (ap, am) = adjoint_eigenvectors(p, k)
-            scale = np.linalg.norm(fp.z) * np.linalg.norm(am.z)
-            assert abs(np.dot(fp.z, am.z)) <= 1e-10 * scale
-            assert abs(np.dot(fm.z, ap.z)) <= 1e-10 * scale
+            t = spectrum_table(p, abs(k))
+            fp, fm = t.z[:, k + t.N]
+            ap, am = t.zt[:, k + t.N]
+            scale = np.linalg.norm(fp) * np.linalg.norm(am)
+            assert abs(np.dot(fp, am)) <= 1e-10 * scale
+            assert abs(np.dot(fm, ap)) <= 1e-10 * scale
 
 
 class TestGapReport:
@@ -201,19 +213,20 @@ class TestGapReport:
 
     def test_plus_gap_growth_generic(self):
         rep = gap_report(GENERIC, 102)
-        wp0 = eigenfrequencies(GENERIC, 100)[0]
-        wp1 = eigenfrequencies(GENERIC, 101)[0]
+        t = spectrum_table(GENERIC, 101)
+        wp0, wp1 = t.omega[0, 100 + t.N], t.omega[0, 101 + t.N]
         ratio = (wp1 - wp0) / (3 * rep.A_const * 100**2)
         assert abs(ratio - 1) <= 0.02
 
     def test_minus_gap_limit_resonant(self):
-        w0 = eigenfrequencies(RESONANT, 200)[1]
-        w1 = eigenfrequencies(RESONANT, 201)[1]
+        t = spectrum_table(RESONANT, 201)
+        w0, w1 = t.omega[1, 200 + t.N], t.omega[1, 201 + t.N]
         assert abs((w1 - w0) - (-0.5)) <= 0.05
         assert gap_report(RESONANT, 10).B_or_slope == pytest.approx(-0.5)
 
     def test_minus_gaps_grow_nonresonant(self):
-        gaps = [eigenfrequencies(GENERIC, k + 1)[1] - eigenfrequencies(GENERIC, k)[1]
+        t = spectrum_table(GENERIC, 201)
+        gaps = [t.omega[1, k + 1 + t.N] - t.omega[1, k + t.N]
                 for k in (10, 50, 100, 200)]
         mags = np.abs(gaps)
         assert np.all(np.diff(mags) > 0)
@@ -281,7 +294,8 @@ SHARP_CASES = [PhysicalParams(0.5, 2.0, 2.0, 3.0),
 class TestSharpTime:
     @pytest.mark.parametrize("p", SHARP_CASES)
     def test_critical_time_is_ingham_time_of_the_spectrum(self, p):
-        gap = eigenfrequencies(p, 401)[1] - eigenfrequencies(p, 400)[1]
+        t = spectrum_table(p, 401)
+        gap = t.omega[1, 401 + t.N] - t.omega[1, 400 + t.N]
         assert gap_report(p, 10).B_or_slope == pytest.approx(gap, rel=1e-5)
         assert critical_time(p) == pytest.approx(2 * math.pi / abs(gap), rel=1e-5)
 
@@ -301,18 +315,12 @@ class TestSharpTime:
                                    PhysicalParams(0.37, 2.2, 1.3, 0.8)])
     def test_minus_branch_cubic_slope(self, p):
         k = 4000
-        slope = eigenfrequencies(p, k)[1] / k**3
+        t = spectrum_table(p, k)
+        slope = t.omega[1, k + t.N] / k**3
         assert gap_report(p, 10).B_or_slope == pytest.approx(slope, rel=1e-6)
 
 
 class TestSpectrumTable:
-    def test_col_lookup_and_bounds(self):
-        table = spectrum_table(GENERIC, 4)
-        assert table.col(0) == 4
-        assert table.col(-4) == 0
-        with pytest.raises(IndexError):
-            table.col(5)
-
     def test_caching_returns_same_object(self):
         assert spectrum_table(GENERIC, 6) is spectrum_table(GENERIC, 6)
 
