@@ -64,9 +64,10 @@ def _int(key: str, val, minimum: int | None = 0,
 
 
 def _float(key: str, val, positive: bool = False) -> float:
-    """A finite float config value, strictly positive when asked."""
+    """A finite float config value, strictly positive when asked.  The
+    bound compares JSON integers exactly, beyond the float range too."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not np.isfinite(val):
+            or not abs(val) <= sys.float_info.max:
         raise ConfigError(f"{key} must be a finite number, got {val!r}")
     if positive and not val > 0:
         raise ConfigError(f"{key} must be positive, got {val!r}")

@@ -54,9 +54,11 @@ def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
                   * integral_{t0}^{t1} e^{i (omega_i - omega_j + shift) t} dt.
 
     ``amps`` has one row per channel; an imaginary ``shift`` 2iw applies the
-    weight e^{-2wt}.  The result is symmetrized to Hermitian.
+    weight e^{-2wt}.  Without a shift the kernel is built in its Hermitian
+    mode.  The result is symmetrized to Hermitian.
     """
-    G = exp_kernel(omega + shift, -omega, t0, t1)
+    G = exp_kernel(omega + shift, -omega, t0, t1) if shift \
+        else exp_kernel(omega, None, t0, t1)
     G *= sum(np.outer(a, np.conj(a)) for a in amps)
     return (G + G.conj().T) / 2
 
@@ -291,8 +293,8 @@ def _newton_gram(omega, linked, window: ObservationWindow) -> np.ndarray:
     freqs[close + 1] = omega[close]
     degrees = np.zeros(len(omega), dtype=int)
     degrees[close + 1] = 1
-    G = np.einsum("mj,nj->mn", exp_kernel(freqs, -freqs, window.t0,
-                                          window.t1, degrees, degrees,
-                                          left=amps), amps.conj())
+    G = np.einsum("mj,nj->mn", exp_kernel(freqs, None, window.t0,
+                                          window.t1, degrees, left=amps),
+                  amps.conj())
     # symmetrize away last-bit asymmetry
     return (G + G.conj().T) / 2

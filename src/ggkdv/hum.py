@@ -20,7 +20,7 @@ from .errors import ConstraintViolation, IllConditioned
 from .gram import _parity_blocks, _unfold, trace_gram
 from .modal import (ModalState, adjoint_modal_uv, adjoint_trace, energy,
                     evolve, forced_evolve, h_norm, modal_uv, u_mean, v_mean)
-from .signals import ExponentialSignal, exp_kernel, stack_terms
+from .signals import ExponentialSignal, total_l2_norm_sq
 from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 COND_LIMIT = 1e14
@@ -104,16 +104,22 @@ class HumSystem:
         mixed precision: corrections from W, residuals in extended precision
         against the complex Lambda over [0, T] (the closed forms
         ``forced_evolve`` shares), so the refinement converges even when the
-        condition number approaches 1/eps (windows near the critical time)."""
+        condition number approaches 1/eps (windows near the critical time).
+        At most 6 corrections; it stops after one below 1e-16 |x|, or after
+        one above half the previous: the corrections have then reached the
+        rounding noise of the solve and no longer shrink."""
         b_hi = b.astype(np.clongdouble)
         x = self._solve(b).astype(np.clongdouble)
+        last = np.inf
         for _ in range(6):
             r = b_hi - self._factor[3] @ x
             corr = self._solve(r.astype(complex))
+            size = np.linalg.norm(corr)
             x = x + corr
-            if np.linalg.norm(corr) <= \
-                    1e-16 * np.linalg.norm(x.astype(complex)):
+            if size <= 1e-16 * np.linalg.norm(x.astype(complex)) \
+                    or size > last / 2:
                 break
+            last = size
         return x.astype(complex)
 
 
@@ -274,13 +280,8 @@ def verify_roundtrip(params: PhysicalParams, N: int, plan: ControlPlan,
 
 def control_cost(plan: ControlPlan) -> float:
     """``integral_0^T |f|^2 + |g|^2 dt`` of the plan's controls."""
-    signals = [sig for sig in (plan.f, plan.g) if sig]
-    if not signals:
-        return 0.0
-    amps, freqs, degrees = stack_terms(signals)
-    kernel_amps = exp_kernel(freqs, -freqs, 0.0, plan.T, degrees, degrees,
-                             left=amps)
-    return float(np.real(np.sum(kernel_amps * np.conj(amps))))
+    return total_l2_norm_sq([sig for sig in (plan.f, plan.g) if sig], 0.0,
+                            plan.T)
 
 
 def bilinear_pairing(params: PhysicalParams, state: ModalState,

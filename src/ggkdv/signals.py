@@ -11,9 +11,13 @@ array-valued kernel, ``exp_poly_integral``, evaluates it in closed form
 elementwise over broadcast arrays of (z, m).  ``exp_kernel`` lays it out as
 the outer-sum matrix K[i, j] behind inner products, Gram matrices, Duhamel
 steps and weighted Gramians, a bounded block of rows at a time, and
-contracts each block at once when only a product with K is needed.  Near
-resonance |z| -> 0 the closed forms cancel catastrophically; there the
-kernel switches to a power series that is exact in the limit.
+contracts each block at once when only a product with K is needed.  The
+Hermitian forms (norms, control costs, unweighted Grams) have the kernel
+K[i, j] = I(z_i - z_j, m_i + m_j) of real frequencies, whose entries below
+the diagonal are the conjugates of those above; its Hermitian mode
+evaluates each block only on and above the diagonal.  Near resonance
+|z| -> 0 the closed forms cancel catastrophically; there the kernel
+switches to a power series that is exact in the limit.
 """
 
 from __future__ import annotations
@@ -89,32 +93,59 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0, m_cols=0,
     """``left @ K``, or K itself when ``left`` is None, for the matrix
 
         K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
-                                    m_rows[i] + m_cols[j], t0, t1).
+                                    m_rows[i] + m_cols[j], t0, t1),
 
-    K is built a block of rows of about _BLOCK_ENTRIES entries at a time,
-    so a product never holds K whole.  ``left`` has shape
-    (..., len(z_rows)).  The products use einsum, not matmul: they are
-    small, and handing them to a multithreaded BLAS left its threads in a
-    state that made later small eigen-solves up to twice as slow.
+    or, when ``z_cols`` is None, the Hermitian matrix of real frequencies
+
+        K[i, j] = exp_poly_integral(z_rows[i] - z_rows[j],
+                                    m_rows[i] + m_rows[j], t0, t1)
+
+    (``m_cols`` unused).  K is built a block of rows at a time, each block
+    at most _BLOCK_ENTRIES entries (or one row), so a product never holds K
+    whole.  In the Hermitian mode the block of rows [s, e) is evaluated
+    only in the columns [s, n), e - s = _BLOCK_ENTRIES // (n - s) rows as
+    the columns shrink, and K below it is its conjugate transpose.  That
+    evaluates the upper triangle plus the lower triangles of the blocks'
+    diagonal squares: 0.56 n^2 at n = 258 (N = 64), against n^2, and all
+    of K when n^2 <= _BLOCK_ENTRIES.  ``left`` has shape
+    (..., len(z_rows)); a Hermitian block is contracted with it from both
+    sides.  The products use einsum, not matmul: they are small, and
+    handing them to a multithreaded BLAS left its threads in a state that
+    made later small eigen-solves up to twice as slow.
     """
-    z_rows = np.asarray(z_rows)
-    z_cols = np.asarray(z_cols)
-    m_rows = np.asarray(m_rows)
+    z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
+    hermitian = z_cols is None
+    if hermitian:
+        z_cols, m_cols = -z_rows, m_rows
+    z_cols, m_cols = np.asarray(z_cols), np.asarray(m_cols)
+    n = len(z_cols)
     if left is None:
-        out = np.empty((len(z_rows), len(z_cols)), dtype=complex)
+        out = np.empty((len(z_rows), n), dtype=complex)
     else:
         left = np.asarray(left, dtype=complex)
-        out = np.zeros(left.shape[:-1] + (len(z_cols),), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(z_cols)))
-    for start in range(0, len(z_rows), step):
-        rows = slice(start, start + step)
+        out = np.zeros(left.shape[:-1] + (n,), dtype=complex)
+    start = 0
+    while start < len(z_rows):
+        first = start if hermitian else 0
+        stop = start + max(1, _BLOCK_ENTRIES // max(1, n - first))
+        rows, cols = slice(start, stop), slice(first, None)
         m = m_rows if m_rows.ndim == 0 else m_rows[rows, None]
-        block = exp_poly_integral(z_rows[rows, None] + z_cols, m + m_cols,
+        mc = m_cols if m_cols.ndim == 0 else m_cols[cols]
+        block = exp_poly_integral(z_rows[rows, None] + z_cols[cols], m + mc,
                                   t0, t1)
+        # Hermitian: block[:, mirror] holds K[rows, stop:], mirrored below
+        below, mirror = slice(stop, None), slice(stop - start, None)
         if left is None:
-            out[rows] = block
+            out[rows, cols] = block
+            if hermitian:
+                out[below, rows] = block[:, mirror].conj().T
         else:
-            out += np.einsum("...i,ij->...j", left[..., rows], block)
+            out[..., cols] += np.einsum("...i,ij->...j", left[..., rows],
+                                        block)
+            if hermitian:
+                out[..., rows] += np.einsum("...j,ij->...i", left[..., below],
+                                            block[:, mirror].conj())
+        start = stop
     return out
 
 
@@ -175,7 +206,7 @@ class ExponentialSignal:
                        @ np.conj(a2[0]))
 
     def l2_norm_sq(self, t0: float, t1: float) -> float:
-        return float(np.real(self.l2_inner(self, t0, t1)))
+        return total_l2_norm_sq([self], t0, t1)
 
     def bilinear_integral(self, other: "ExponentialSignal", t0: float, t1: float) -> complex:
         """Unconjugated ``integral s(t) o(t) dt`` in closed form (directed)."""
@@ -200,3 +231,11 @@ def stack_terms(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     freqs = np.array([f for f, _ in keys], dtype=float)
     degrees = np.array([d for _, d in keys], dtype=int)
     return amps, freqs, degrees
+
+
+def total_l2_norm_sq(signals, t0: float, t1: float) -> float:
+    """``sum_s integral_{t0}^{t1} |s(t)|^2 dt`` in closed form, from one
+    Hermitian kernel over the union of the signals' terms."""
+    amps, freqs, degrees = stack_terms(signals)
+    kernel_amps = exp_kernel(freqs, None, t0, t1, degrees, left=amps)
+    return float(np.real(np.sum(kernel_amps * np.conj(amps))))

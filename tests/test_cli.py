@@ -190,12 +190,34 @@ class TestErrors:
         ("control", {"t": 1.0}),
         # the closed-form ingham Gram overflows
         ("ingham", {"t1": 1e300}),
+        # JSON integers beyond the float range
+        ("spectrum", {"preset": None, "a": 10**400}),
+        ("control", {"preset": None, "a": 10**400}),
+        ("observe", {"preset": None, "a": 10**400}),
+        ("resonance", {"tol": 10**400}),
+        ("control", {"T": 10**400}),
+        ("observe", {"window_length": 10**400}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,
                        config={"preset": "generic", **cfg}) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, cfg, code", [
+        ("spectrum", {"preset": None, "a": 10**20}, 0),
+        ("control", {"preset": None, "a": 10**20}, 3),
+        ("observe", {"preset": None, "a": 10**20}, 0),
+        ("resonance", {"tol": 10**20}, 0),
+        ("control", {"T": 10**20}, 0),
+        ("observe", {"window_length": 10**20}, 0),
+    ])
+    def test_large_json_int_read_as_float(self, tmp_path, capsys, command,
+                                          cfg, code):
+        # integers from 2**64 up used to reach np.isfinite unconverted
+        assert run_cli(tmp_path, command,
+                       config={"preset": "generic", **cfg}) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_key_named(self, tmp_path, capsys):
         assert run_cli(tmp_path, "stabilize",

@@ -9,6 +9,7 @@ from ggkdv.errors import ConstraintViolation, IllConditioned
 from ggkdv.gram import _parity_blocks
 from ggkdv.hum import (
     ERROR_EST_LIMIT,
+    HumSystem,
     _duality_rhs,
     assemble_lambda,
     bilinear_pairing,
@@ -358,6 +359,28 @@ class TestSolveControl:
             if i == 0:
                 assert shapes == [(2 * (N + 1),) * 2, (2 * N,) * 2]
         assert len(shapes) == 2
+
+    @pytest.mark.parametrize("preset, T, most", [
+        # without the stagnation stop the generic solve ran all 6
+        # corrections: 7 solves
+        ("generic", 1.0, 4),
+        ("resonant", 1.2 * critical_time(RESONANT), 3),
+    ])
+    def test_refinement_stops_when_it_stagnates(self, monkeypatch, preset,
+                                                T, most):
+        calls = []
+        solve = HumSystem._solve
+        monkeypatch.setattr(HumSystem, "_solve",
+                            lambda self, b: calls.append(1) or solve(self, b))
+        params = PRESETS[preset]
+        rng = np.random.default_rng(0)
+        N = 16
+        initial = unit_energy_state(params, N, rng)
+        target = unit_energy_state(params, N, rng)
+        plan = solve_control(params, N, 0.0, T, initial, target)
+        assert len(calls) <= most
+        err = verify_roundtrip(params, N, plan, initial, target)
+        assert err <= plan.error_estimate <= ERROR_EST_LIMIT
 
     def test_negative_horizon_rejected(self):
         # a Gram over (T, 0) has the opposite sign of the directed Duhamel

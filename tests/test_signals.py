@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ggkdv import signals
 from ggkdv.signals import (
     ExponentialSignal,
     exp_kernel,
@@ -202,3 +203,61 @@ class TestExpKernel:
         left = rng.standard_normal((2, 37)) + 1j * rng.standard_normal((2, 37))
         got = exp_kernel(zr, zc, 0.2, 1.7, mr, mc, left=left)
         assert np.max(np.abs(got - left @ want)) <= 1e-12 * np.max(np.abs(got))
+
+
+class TestHermitianKernel:
+    """``exp_kernel(z, None, ...)``: K[i, j] = integral t^(m_i + m_j)
+    e^{i (z_i - z_j) t} over a window off the origin, built on and above
+    the diagonal a block of rows at a time."""
+
+    T0, T1 = 0.4, 2.1
+
+    @staticmethod
+    def family(n):
+        # mixed degrees; every seventh frequency 1e-9 from its predecessor,
+        # on the series branch, and one repeated with the other degree
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-40, 40, n)
+        z[1::7] = z[0:n - 1:7] + 1e-9
+        z[2] = z[0]
+        m = rng.integers(0, 2, n)
+        m[2] = 1 - m[0]
+        return z, m
+
+    def test_matches_general_kernel(self):
+        z, m = self.family(300)
+        H = exp_kernel(z, None, self.T0, self.T1, m)
+        K = exp_kernel(z, -z, self.T0, self.T1, m, m)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(H - K) <= eps * np.abs(K))
+        assert np.array_equal(H, H.conj().T)
+
+    def test_left_products_match_general_kernel(self):
+        z, m = self.family(300)
+        rng = np.random.default_rng(5)
+        left = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+        got = exp_kernel(z, None, self.T0, self.T1, m, left=left)
+        want = exp_kernel(z, -z, self.T0, self.T1, m, m, left=left)
+        scale = np.abs(left) @ np.abs(exp_kernel(z, -z, self.T0, self.T1, m, m))
+        assert np.max(np.abs(got - want) / scale) <= 1e-15
+        vec = exp_kernel(z, None, self.T0, self.T1, m, left=left[0])
+        assert np.max(np.abs(vec - got[0]) / scale[0]) <= 1e-15
+
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_evaluates_about_half_the_entries(self, monkeypatch, with_left):
+        count = [0]
+        kernel = signals.exp_poly_integral
+
+        def counted(z, m, t0, t1):
+            count[0] += np.size(z)
+            return kernel(z, m, t0, t1)
+
+        monkeypatch.setattr(signals, "exp_poly_integral", counted)
+        n = 258   # the control operator's size at N = 64
+        z, m = self.family(n)
+        left = np.ones((1, n)) if with_left else None
+        exp_kernel(z, -z, self.T0, self.T1, m, m, left=left)
+        assert count[0] == n * n
+        count[0] = 0
+        exp_kernel(z, None, self.T0, self.T1, m, left=left)
+        assert count[0] <= 0.6 * n * n
