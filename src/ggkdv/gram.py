@@ -9,14 +9,19 @@ of one real symmetric matrix and do not depend on the observation point.
 That matrix commutes with the swap k <-> -k (the frequencies are odd in
 k, the amplitudes even), so it is solved as two real parity blocks of
 half the size, built over the modes k >= 0 and never assembled whole.
-``divided_difference_constants`` gives the Riesz bounds of the merged
-frequency family, whose cross-branch members cluster in pairs, in the
-Newton divided-difference coordinates of the single-trace proof; in
-practice that Gram is no better conditioned than the plain one.
+Their kernel entries 2 sin(x h) / x, at every frequency difference and
+sum x, come by the addition formula from one sine and cosine per
+frequency, not one sine per entry.  ``divided_difference_constants``
+gives the Riesz bounds of the merged frequency family, whose
+cross-branch members cluster in pairs, in the Newton divided-difference
+coordinates of the single-trace proof: the Gram of the exponentials,
+mapped to them by difference rows and columns in O(n^2).  In practice
+that Gram is no better conditioned than the plain one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,7 +29,8 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import exp_kernel
-from .spectral import PhysicalParams, _halves, spectrum_table, trace_amplitudes
+from .spectral import (PhysicalParams, _halves, on_circle, spectrum_table,
+                       trace_amplitudes)
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -136,8 +142,8 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    ks = np.tile(table.ks, 2)
-    lift = np.exp(-1j * (ks * x0 + omega * (window.t0 + h))) * norm
+    phase = table.ks * on_circle(x0) + table.omega * (window.t0 + h)
+    lift = np.exp(-1j * phase.ravel()) * norm
     return ObservabilityReport(alpha, beta, kernel_dim, vals, rows, omega,
                                blocks, lift)
 
@@ -146,19 +152,70 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(C+, C-): the blocks of the real form ``sum_c a_c a_c^T *
     K(omega_i - omega_j)`` in the real-field basis, for amplitude rows even
     and frequencies odd in k; C+ runs over [branch, k] for k >= 0, C- for
-    k > 0."""
+    k > 0.  Their kernels K(omega_i -+ omega_j) come from
+    ``_parity_kernels``, one at a time."""
     N = (len(omega) // 2 - 1) // 2
-    k = np.tile(np.arange(N + 1), 2)
     w = omega.reshape(2, 2 * N + 1)[:, N:].ravel()
-    a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].reshape(len(amps), -1)
+    a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].copy()
     # e_0 has no partner, which the pair entries count twice
-    a = np.where(k == 0, a / np.sqrt(2), a)
-    A = sum(np.outer(row, row) for row in a)
-    diff = _centred_kernel(w[:, None] - w, h)
-    summ = _centred_kernel(w[:, None] + w, h)
-    plus = A * (diff + summ)
-    minus = (A * (diff - summ))[np.ix_(k > 0, k > 0)]
-    return plus, minus
+    a[:, :, 0] /= math.sqrt(2)
+    a = a.reshape(len(amps), -1)
+    # plus holds K(omega_i - omega_j) until it becomes C+; C- drops the
+    # rows and columns of k = 0 on both branches
+    plus, summ = _parity_kernels(w, h)
+    A = np.multiply.outer(a[0], a[0])
+    for row in a[1:]:
+        A += np.multiply.outer(row, row)
+    minus = _positive(plus, N) - _positive(summ, N)
+    minus *= _positive(A, N)
+    plus += summ
+    plus *= A
+    return plus, minus.reshape(2 * N, 2 * N)
+
+
+def _positive(M, N: int):
+    """The entries of M over [branch, k], k >= 0, at k > 0, as a view."""
+    return M.reshape(2, N + 1, 2, N + 1)[:, 1:, :, 1:]
+
+
+def _parity_kernels(w, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``K(w_i - w_j)`` and ``K(w_i + w_j)`` of the real centred kernel K
+    (``_centred_kernel``), built one after the other.
+
+    Both come from the sines and cosines of the n phases w h by the
+    addition formula, ``K(w_i -+ w_j) = 2 (s_i c_j -+ c_i s_j) / (w_i -+
+    w_j)``, so no sine is taken per entry.  Each phase is the exact sum
+    w h = p + e of Dekker's two-product over Veltkamp's split, and its
+    ``c + i s = e^{ip} e^{ie}`` is right to an ulp at any |w h|.  Where
+    |w_i -+ w_j| h < 1 the formula cancels, and ``_centred_kernel`` is
+    taken instead (this includes a zero sum or difference at any h)."""
+    p = w * h
+    w_hi, w_lo = _split(w)
+    h_hi, h_lo = _split(h)
+    e = ((w_hi * h_hi - p) + w_hi * h_lo + w_lo * h_hi) + w_lo * h_lo
+    cis = np.exp(1j * p) * np.exp(1j * e)
+    # 2 s_i c_j; its transpose holds 2 c_i s_j
+    sc = np.multiply.outer(2 * cis.imag, cis.real)
+    diff = _addition_kernel(np.subtract, w, sc, h)
+    return diff, _addition_kernel(np.add, w, sc, h)
+
+
+def _split(x):
+    """Veltkamp's split x = hi + lo, each half of the mantissa."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _addition_kernel(op, w, sc, h: float):
+    """K(x) at x = op(w_i, w_j), op np.subtract or np.add, from sc = 2 s_i
+    c_j: ``op(sc, sc^T) / x``, or ``_centred_kernel`` where |x| h < 1."""
+    x = op.outer(w, w)
+    near = np.abs(x) < 1 / h
+    num = op(sc, sc.T)
+    np.divide(num, x, out=num, where=~near)
+    num[near] = _centred_kernel(x[near], h)
+    return num
 
 
 def _unfold(vecs_p, vecs_m, pick) -> np.ndarray:
@@ -281,20 +338,19 @@ def _newton_gram(omega, linked, window: ObservationWindow) -> np.ndarray:
     of the chains ``linked`` over the sorted frequencies omega: e^{i w t}
     for each w, except that the second member of a pair (w1, w2) gives
     (e^{i w1 t} - e^{i w2 t}) / (w1 - w2), or t e^{i w1 t} within
-    COINCIDENT_TOL."""
+    COINCIDENT_TOL.  The Gram of the exponentials (and of t e^{i w1 t}) is
+    built once and mapped to the difference rows, then columns, in place:
+    the pairs are disjoint."""
     pairs = np.flatnonzero(linked)
     near = omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL
     apart, close = pairs[~near], pairs[near]
-    amps = np.eye(len(omega), dtype=complex)
-    inv = 1.0 / (omega[apart] - omega[apart + 1])
-    amps[apart + 1, apart] = inv
-    amps[apart + 1, apart + 1] = -inv
     freqs = omega.copy()
     freqs[close + 1] = omega[close]
     degrees = np.zeros(len(omega), dtype=int)
     degrees[close + 1] = 1
-    G = np.einsum("mj,nj->mn", exp_kernel(freqs, None, window.t0,
-                                          window.t1, degrees, left=amps),
-                  amps.conj())
+    G = exp_kernel(freqs, None, window.t0, window.t1, degrees)
+    gap = omega[apart] - omega[apart + 1]
+    G[apart + 1] = (G[apart] - G[apart + 1]) / gap[:, None]
+    G[:, apart + 1] = (G[:, apart] - G[:, apart + 1]) / gap
     # symmetrize away last-bit asymmetry
     return (G + G.conj().T) / 2

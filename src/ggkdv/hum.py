@@ -21,7 +21,8 @@ from .gram import _parity_blocks, _unfold, trace_gram
 from .modal import (ModalState, adjoint_modal_uv, adjoint_trace, energy,
                     evolve, forced_evolve, h_norm, modal_uv, u_mean, v_mean)
 from .signals import ExponentialSignal, total_l2_norm_sq
-from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
+from .spectral import (PhysicalParams, on_circle, spectrum_table,
+                       trace_amplitudes)
 
 COND_LIMIT = 1e14
 # Largest accepted a-priori estimate eps * lambda_max * |s| / |rhs| of the
@@ -160,7 +161,8 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         lam = trace_gram(amps, omega, 0.0, T)
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"horizon T={T:g} overflows the control operator")
-    phases = np.exp(1j * (np.tile(table.ks, 2) * x0 + omega * (T / 2)))
+    phases = np.exp(1j * (np.tile(table.ks, 2) * on_circle(x0)
+                          + omega * (T / 2)))
     rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]
     v = None
     if mode != "both":

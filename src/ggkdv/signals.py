@@ -198,13 +198,6 @@ class ExponentialSignal:
         out = np.sum(amps[0] * t**degrees * np.exp(1j * freqs * t), axis=-1)
         return out if out.shape else complex(out)
 
-    def l2_inner(self, other: "ExponentialSignal", t0: float, t1: float) -> complex:
-        """Hermitian inner product ``integral s(t) conj(o(t)) dt`` in closed form."""
-        a1, f1, d1 = stack_terms([self])
-        a2, f2, d2 = stack_terms([other])
-        return complex(exp_kernel(f1, -f2, t0, t1, d1, d2, left=a1[0])
-                       @ np.conj(a2[0]))
-
     def l2_norm_sq(self, t0: float, t1: float) -> float:
         return total_l2_norm_sq([self], t0, t1)
 

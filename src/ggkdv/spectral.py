@@ -175,8 +175,15 @@ def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
     """
     table = spectrum_table(params, N)
     z = table.zt if adjoint else table.z
-    phase = np.exp(1j * table.ks * x0)
-    return (np.moveaxis(z, 2, 0) * phase).reshape(2, -1)
+    phase = np.exp(1j * table.ks * on_circle(x0))
+    return (z.transpose(2, 0, 1) * phase).reshape(2, -1)
+
+
+def on_circle(x0: float) -> float:
+    """x0 reduced exactly modulo 2 pi, so that the phases k x0 of the
+    operators stay exact to an ulp at any x0 (e^{ikx0} is 2 pi periodic);
+    x0 itself when |x0| < 2 pi."""
+    return math.fmod(x0, 2 * math.pi)
 
 
 # The real-field basis U pairs each mode with its partner -k on the same

@@ -276,7 +276,7 @@ class TestErrors:
         *((command, {"N": N}) for command in SIZED for N in (1e300, 10**14)),
         ("observe", {"ns": [4, 1e300]}),
         ("observe", {"ns": [4, 10**14]}),
-        # far out, k x0 swamps the phases of the operators
+        # x0 outside [-2 pi, 2 pi], which holds every point of the circle
         *((command, {"preset": "generic", "N": 8, "x0": 1e308})
           for command in X0_COMMANDS),
         ("control", {"preset": "generic", "N": 8, "x0": 1e14}),

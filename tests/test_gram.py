@@ -14,10 +14,11 @@ from ggkdv.gram import (
     observability_constants,
     trace_gram,
 )
-from ggkdv.gram import (_centred_kernel, _cluster, _newton_gram,
+from ggkdv.gram import (COINCIDENT_TOL, _centred_kernel, _cluster,
+                        _newton_gram, _parity_blocks, _parity_kernels,
                         _structural_kernel)
 from ggkdv.modal import ModalState, energy, reconstruct, trace
-from ggkdv.signals import exp_poly_integral
+from ggkdv.signals import exp_kernel, exp_poly_integral
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
                             spectrum_table, trace_amplitudes)
 
@@ -541,6 +542,68 @@ def dense_real_form(params, N, length, mode):
     return s[:, None] * R * s
 
 
+def dense_newton_gram(omega, linked, t0, t1):
+    """``M K M^H``: the Gram of the exponentials (t e^{i w t} for the second
+    member of a close pair) mapped to the Newton basis by one dense
+    amplitude matrix M, the identity but for the difference rows."""
+    pairs = np.flatnonzero(linked)
+    near = omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL
+    apart, close = pairs[~near], pairs[near]
+    M = np.eye(len(omega))
+    inv = 1.0 / (omega[apart] - omega[apart + 1])
+    M[apart + 1, apart] = inv
+    M[apart + 1, apart + 1] = -inv
+    freqs = omega.copy()
+    freqs[close + 1] = omega[close]
+    degrees = np.zeros(len(omega), dtype=int)
+    degrees[close + 1] = 1
+    K = exp_kernel(freqs, -freqs, t0, t1, degrees, degrees)
+    return M @ K @ M.T
+
+
+class TestNewtonMap:
+    """The Newton Gram from difference rows and columns of the Gram of the
+    exponentials, against the dense map."""
+
+    @pytest.mark.parametrize("N", [6, 16, 32])
+    @pytest.mark.parametrize("preset, t0, length",
+                             [(preset, 0.0, length)
+                              for preset, length in OBS_WINDOWS]
+                             + [("resonant", 1.3, 1.5 * T0_RES)])
+    def test_against_dense_map(self, preset, t0, length, N):
+        # the clustering of divided_difference_constants: the resonant
+        # families pair up, the generic ones stay singletons
+        table = spectrum_table(PRESETS[preset], N)
+        omega = np.unique(table.omega)
+        epsilon = min(1.0, float(np.min(np.abs(np.diff(table.omega)))) / 4)
+        linked, _ = _cluster(omega, epsilon)
+        assert linked.any() == (preset == "resonant")
+        G = _newton_gram(omega, linked, ObservationWindow(t0, t0 + length))
+        ref = dense_newton_gram(omega, linked, t0, t0 + length)
+        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_close_and_apart_pairs(self):
+        omega = np.array([-2.0, 0.0, 0.5 * COINCIDENT_TOL, 3.0, 3.25, 7.0])
+        linked = np.array([False, True, False, True, False])
+        G = _newton_gram(omega, linked, ObservationWindow(0.4, 2.1))
+        ref = dense_newton_gram(omega, linked, 0.4, 2.1)
+        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_kernel_built_once_without_left(self, monkeypatch):
+        lefts = []
+        kernel = gram.exp_kernel
+
+        def spy(*args, **kw):
+            lefts.append(kw.get("left", args[6] if len(args) > 6 else None))
+            return kernel(*args, **kw)
+
+        monkeypatch.setattr(gram, "exp_kernel", spy)
+        omega = np.array([-2.0, 0.0, 0.5 * COINCIDENT_TOL, 3.0, 3.25, 7.0])
+        _newton_gram(omega, np.array([False, True, False, True, False]),
+                     ObservationWindow(0.0, 1.0))
+        assert lefts == [None]
+
+
 class TestParityForm:
     """The swap k <-> -k splits the real form into two blocks over k >= 0,
     built from the real kernel 2 sin(delta h) / delta."""
@@ -556,6 +619,48 @@ class TestParityForm:
             ref = 2 * exp_poly_integral(delta, 0, 0.0, h).real
             assert np.max(np.abs(_centred_kernel(delta, h) - ref)) \
                 <= 1e-15 * 2 * h
+
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("preset, length", OBS_WINDOWS)
+    def test_parity_kernels_against_exp_poly_integral(self, preset, length, N):
+        # the kernels from the per-frequency sines, at the bound of the
+        # centred kernel (at most 2.0e-16 * 2h measured); without the low
+        # part of the exact phase products the resonant windows read
+        # 7.2e-15 and 9.8e-15 * 2h at N=128
+        omega = spectrum_table(PRESETS[preset], N).omega[:, N:].ravel()
+        h = length / 2
+        kernels = _parity_kernels(omega, h)
+        for K, x in zip(kernels, (omega[:, None] - omega,
+                                  omega[:, None] + omega)):
+            ref = 2 * exp_poly_integral(x, 0, 0.0, h).real
+            assert np.max(np.abs(K - ref)) <= 1e-15 * 2 * h
+
+    def test_parity_kernels_long_window(self):
+        # phases w h near 1e27 stay exact: every entry against 2 sin(x h) / x
+        # of the exact sum or difference x at 60 digits, within 4.1e-16 of
+        # its envelope 2 / |x| measured, and 2h where x = 0
+        mp = pytest.importorskip("mpmath")
+        N, h = 16, 5e19
+        omega = spectrum_table(RESONANT, N).omega[:, N:].ravel()
+        for K, sign in zip(_parity_kernels(omega, h), (-1, 1)):
+            assert np.all(np.isfinite(K))
+            for i, j in np.ndindex(K.shape):
+                with mp.workdps(60):
+                    x = mp.mpf(omega[i]) + sign * mp.mpf(omega[j])
+                    err = float(abs(K[i, j] - 2 * mp.sin(x * h) / x) * abs(x)
+                                / 2) if x else None
+                if err is None:
+                    assert K[i, j] == 2 * h
+                else:
+                    assert err <= 2e-15
+
+    @pytest.mark.parametrize("N", [0, 1, 6])
+    def test_blocks_leave_rows_alone(self, N):
+        omega = spectrum_table(GENERIC, N).omega.ravel()
+        rows = trace_amplitudes(GENERIC, N, 0.0).real
+        kept = rows.copy()
+        _parity_blocks(rows, omega, 0.5)
+        np.testing.assert_array_equal(rows, kept)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("preset, length", OBS_WINDOWS)

@@ -472,6 +472,22 @@ class TestVerifyRoundtrip:
                           plan.labels)
         assert verify_roundtrip(GENERIC, N, bad, initial, ModalState.zeros(N)) > 1e-6
 
+    @pytest.mark.parametrize("x0", [1e10, 1e14, 1e17, 2e307])
+    @pytest.mark.parametrize("preset", ["generic", "resonant"])
+    def test_far_control_point(self, preset, x0):
+        # x0 enters the phases e^{ikx0} reduced modulo 2 pi, so a point far
+        # out steers as well as its representative on the circle
+        params = PRESETS[preset]
+        N, T = 8, 1.2 * (critical_time(params) or 1.0)
+        rng = np.random.default_rng(13)
+        dim = 2 * (2 * N + 1)
+        seed = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        target = unit_energy_state(params, N, rng)
+        initial = (reachable_defect(params, N, x0, T, "both", seed)
+                   + evolve(params, target, -T))
+        plan = solve_control(params, N, x0, T, initial, target, "both")
+        assert verify_roundtrip(params, N, plan, initial, target) <= 1e-12
+
 
 class TestDuality:
     def test_zero_controls_pairing_conserved(self):

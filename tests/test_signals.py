@@ -7,6 +7,7 @@ from ggkdv.signals import (
     ExponentialSignal,
     exp_kernel,
     exp_poly_integral,
+    total_l2_norm_sq,
 )
 
 
@@ -123,7 +124,7 @@ class TestExponentialSignal:
         assert ExponentialSignal().evaluate(0.7) == 0
         assert ExponentialSignal().evaluate(t).shape == t.shape
 
-    def test_l2_inner_against_quadrature(self):
+    def test_total_l2_norm_sq_against_quadrature(self):
         rng = np.random.default_rng(2)
         terms1 = [(complex(*rng.standard_normal(2)), rng.uniform(-10, 10),
                    int(rng.integers(0, 2))) for _ in range(4)]
@@ -131,9 +132,9 @@ class TestExponentialSignal:
                    int(rng.integers(0, 2))) for _ in range(3)]
         s1 = ExponentialSignal.from_terms(terms1)
         s2 = ExponentialSignal.from_terms(terms2)
-        want = quad_integral(lambda t: s1.evaluate(t) * np.conj(s2.evaluate(t)),
-                             0.0, 1.7)
-        assert abs(s1.l2_inner(s2, 0.0, 1.7) - want) <= 1e-9
+        want = quad_integral(lambda t: abs(s1.evaluate(t)) ** 2
+                             + abs(s2.evaluate(t)) ** 2, 0.0, 1.7).real
+        assert abs(total_l2_norm_sq([s1, s2], 0.0, 1.7) - want) <= 1e-9
 
     def test_bilinear_against_quadrature(self):
         rng = np.random.default_rng(3)
