@@ -10,7 +10,7 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import (AliasError, ConstraintViolation, EpsilonUnderflow,
                      GramianSingular, IllConditioned)
 from .gram import (ObservationWindow, divided_difference_constants,
-                   ingham_report, observability_constants, trace_gram)
+                   ingham_report, observability_constants)
 from .hum import (ControlPlan, HumSystem, assemble_lambda, bilinear_pairing,
                   control_cost, duality_residual, reachable_defect,
                   solve_control, verify_roundtrip)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import exp_kernel
-from .spectral import (PhysicalParams, _halves, on_circle, spectrum_table,
+from .spectral import (PhysicalParams, _halves, mode_phases, spectrum_table,
                        trace_amplitudes)
 
 KERNEL_REL_TOL = 1e-14
@@ -51,22 +51,6 @@ class ObservationWindow:
     @property
     def length(self) -> float:
         return self.t1 - self.t0
-
-
-def trace_gram(amps, omega, t0: float, t1: float, shift=0) -> np.ndarray:
-    """Hermitian Gram of multi-channel exponential traces:
-
-        G[i, j] = sum_c amps[c, i] conj(amps[c, j])
-                  * integral_{t0}^{t1} e^{i (omega_i - omega_j + shift) t} dt.
-
-    ``amps`` has one row per channel; an imaginary ``shift`` 2iw applies the
-    weight e^{-2wt}.  Without a shift the kernel is built in its Hermitian
-    mode.  The result is symmetrized to Hermitian.
-    """
-    G = exp_kernel(omega + shift, -omega, t0, t1) if shift \
-        else exp_kernel(omega, None, t0, t1)
-    G *= sum(np.outer(a, np.conj(a)) for a in amps)
-    return (G + G.conj().T) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +126,7 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    phase = table.ks * on_circle(x0) + table.omega * (window.t0 + h)
-    lift = np.exp(-1j * phase.ravel()) * norm
+    lift = np.conj(mode_phases(table, x0, window.t0 + h)).ravel() * norm
     return ObservabilityReport(alpha, beta, kernel_dim, vals, rows, omega,
                                blocks, lift)
 
@@ -284,15 +267,16 @@ def _structural_kernel(amps, omega) -> np.ndarray:
 
 def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]:
     """(direct_const, inverse_const): extreme eigenvalues of the scalar
-    exponential Gram of an arbitrary frequency family over the window."""
+    exponential Gram of an arbitrary frequency family over the window.
+
+    The window's centre enters only as a unitary diagonal, so they are
+    those of the real Gram ``_centred_kernel(omega_i - omega_j)`` over the
+    centred window [-h, h]."""
     freqs = np.asarray(sorted(frequencies), dtype=float)
     if len(np.unique(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
-    # the window's centre enters only as a unitary diagonal: the Gram over
-    # the centred window [-h, h] is real symmetric with the same eigenvalues
-    h = window.length / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        G = 2 * trace_gram(np.ones((1, len(freqs))), freqs, 0.0, h).real
+        G = _centred_kernel(np.subtract.outer(freqs, freqs), window.length / 2)
     if not np.all(np.isfinite(G)):
         raise ValueError(f"window [{window.t0:g}, {window.t1:g}] overflows "
                          "the Gram")

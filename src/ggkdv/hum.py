@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditioned
-from .gram import _parity_blocks, _unfold, trace_gram
+from .gram import _parity_blocks, _unfold
 from .modal import (ModalState, adjoint_modal_uv, adjoint_trace, energy,
                     evolve, forced_evolve, h_norm, modal_uv, u_mean, v_mean)
-from .signals import ExponentialSignal, total_l2_norm_sq
-from .spectral import (PhysicalParams, on_circle, spectrum_table,
+from .signals import ExponentialSignal, exp_kernel, total_l2_norm_sq
+from .spectral import (PhysicalParams, mode_phases, spectrum_table,
                        trace_amplitudes)
 
 COND_LIMIT = 1e14
@@ -157,12 +157,15 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     table = spectrum_table(params, N)
     omega = table.omega.ravel()
     amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
+    # the Hermitian kernel times sum_c a_c a_c^H, symmetrized: with fused
+    # multiply-adds that sum's diagonal keeps imaginary parts of ~eps
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = trace_gram(amps, omega, 0.0, T)
+        lam = exp_kernel(omega, None, 0.0, T)
+        lam *= sum(np.outer(a, np.conj(a)) for a in amps)
+        lam = (lam + lam.conj().T) / 2
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"horizon T={T:g} overflows the control operator")
-    phases = np.exp(1j * (np.tile(table.ks, 2) * on_circle(x0)
-                          + omega * (T / 2)))
+    phases = mode_phases(table, x0, T / 2).ravel()
     rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]
     v = None
     if mode != "both":
@@ -235,13 +238,13 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
             condition_number=cond, alpha_estimate=float(vals[0]))
 
     # f = -conj(phi(., x0)), g = -conj(psi(., x0)) of the adjoint solution
-    # seeded with conj(s)
-    seed = np.conj(s)
-    phi, psi = adjoint_trace(params, ModalState(N, seed.reshape(2, -1)), x0)
-    f = phi.conjugate().scaled(-1) if mode != "g_only" else None
-    g = psi.conjugate().scaled(-1) if mode != "f_only" else None
-    return ControlPlan(f, g, x0, T, seed, spectrum_table(params, N).labels,
-                       est)
+    # seeded with conj(s): amplitudes -conj(amps) s at the frequencies -omega
+    rows = -np.conj(trace_amplitudes(params, N, x0, adjoint=True)) * s
+    used = (mode != "g_only", mode != "f_only")
+    f, g = (ExponentialSignal.from_terms(zip(row, -system.omega, [0] * len(s)))
+            if use else None for row, use in zip(rows, used))
+    return ControlPlan(f, g, x0, T, np.conj(s),
+                       spectrum_table(params, N).labels, est)
 
 
 def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,

@@ -173,19 +173,6 @@ class ExponentialSignal:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "ExponentialSignal") -> "ExponentialSignal":
-        return ExponentialSignal.from_terms(self.terms + other.terms)
-
-    def scaled(self, factor: complex) -> "ExponentialSignal":
-        return ExponentialSignal(
-            tuple((amp * factor, f, d) for amp, f, d in self.terms)
-        )
-
-    def conjugate(self) -> "ExponentialSignal":
-        return ExponentialSignal.from_terms(
-            (np.conj(amp), -f, d) for amp, f, d in self.terms
-        )
-
     @cached_property
     def _stacked(self):
         """The terms as ``stack_terms`` arrays, built once per signal."""

@@ -175,15 +175,18 @@ def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
     """
     table = spectrum_table(params, N)
     z = table.zt if adjoint else table.z
-    phase = np.exp(1j * table.ks * on_circle(x0))
-    return (z.transpose(2, 0, 1) * phase).reshape(2, -1)
+    return (z.transpose(2, 0, 1) * mode_phases(table, x0)).reshape(2, -1)
 
 
-def on_circle(x0: float) -> float:
-    """x0 reduced exactly modulo 2 pi, so that the phases k x0 of the
-    operators stay exact to an ulp at any x0 (e^{ikx0} is 2 pi periodic);
-    x0 itself when |x0| < 2 pi."""
-    return math.fmod(x0, 2 * math.pi)
+def mode_phases(table: SpectrumTable, x0: float,
+                t_c: float = 0.0) -> np.ndarray:
+    """The diagonal ``e^{i(k x0 + omega t_c)}`` over [branch, k + N], shape
+    (2, 2N+1), through which the point x0 and a window's centre t_c enter
+    the traces and their Gram matrices.  x0 is first reduced exactly
+    modulo 2 pi, so that the phases k x0 stay exact to an ulp at any x0
+    (e^{ikx0} is 2 pi periodic)."""
+    x0 = math.fmod(x0, 2 * math.pi)
+    return np.exp(1j * (table.ks * x0 + table.omega * t_c))
 
 
 # The real-field basis U pairs each mode with its partner -k on the same

@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GramianSingular
-from .gram import trace_gram
 from .modal import ModalState
+from .signals import exp_kernel
 from .spectral import (PhysicalParams, _from_real, _halves, _to_real,
                        critical_time, resonance_check, spectrum_table,
                        trace_amplitudes)
@@ -79,9 +79,12 @@ def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
     # w = (1, ac/d)
     inputs = (np.conj(trace_amplitudes(params, N, x0))
               * [[1.0], [params.weight]] / scale)
-    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}
-    lam = trace_gram(inputs, -omega, 0.0, Th, shift=2j * omega_target)
-    return omega, scale, inputs.T, lam
+    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}, times
+    # sum_c inputs[c, m] conj(inputs[c, j]), whose diagonal is not exactly
+    # real
+    lam = exp_kernel(2j * omega_target - omega, omega, 0.0, Th)
+    lam *= sum(np.outer(a, np.conj(a)) for a in inputs)
+    return omega, scale, inputs.T, (lam + lam.conj().T) / 2
 
 
 def feedback_gains(params: PhysicalParams, N: int, x0: float,

@@ -108,6 +108,18 @@ class TestDefaults:
         assert run_cli(tmp_path, command, config={}) == 0
 
 
+class TestIngham:
+    def test_huge_window_constants_are_its_length(self, tmp_path):
+        # over a window of length L every constant of a unit-gap family is
+        # L (1 + O(1/L))
+        assert run_cli(tmp_path, "ingham", config={"t1": 1e300}) == 0
+        row = (tmp_path / "ingham.csv").read_text().splitlines()[1]
+        length, direct, inverse = map(float, row.split(",")[1:])
+        assert length == 1e300
+        assert direct == pytest.approx(length, rel=1e-12)
+        assert inverse == pytest.approx(length, rel=1e-12)
+
+
 class TestStabilize:
     def test_long_horizon_rate(self, tmp_path):
         # the energy underflows at t = 182.5 of 1000
@@ -188,8 +200,8 @@ class TestErrors:
         ("stabilize", {"Thh": 3}),
         ("observe", {"windowlength": 0.5}),
         ("control", {"t": 1.0}),
-        # the closed-form ingham Gram overflows
-        ("ingham", {"t1": 1e300}),
+        # the window length itself overflows
+        ("ingham", {"t0": -1.7e308, "t1": 1.7e308}),
         # JSON integers beyond the float range
         ("spectrum", {"preset": None, "a": 10**400}),
         ("control", {"preset": None, "a": 10**400}),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -12,15 +12,16 @@ from ggkdv.gram import (
     divided_difference_constants,
     ingham_report,
     observability_constants,
-    trace_gram,
 )
 from ggkdv.gram import (COINCIDENT_TOL, _centred_kernel, _cluster,
                         _newton_gram, _parity_blocks, _parity_kernels,
                         _structural_kernel)
+from ggkdv.hum import assemble_lambda
 from ggkdv.modal import ModalState, energy, reconstruct, trace
 from ggkdv.signals import exp_kernel, exp_poly_integral
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
                             spectrum_table, trace_amplitudes)
+from ggkdv.stabilize import _weighted_gramian
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
@@ -139,31 +140,43 @@ def trace_gram_cases(draw):
 
 
 class TestTraceGram:
+    """The multi-channel trace Gram ``sum_c a_c a_c^H * K``, K the kernel
+    of ``exp_kernel`` in its shifted layout (the weighted feedback
+    Gramian) and, unshifted, its Hermitian one (the HUM operator)."""
+
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
     @given(trace_gram_cases())
+    # signals e^{0}, e^{it} with channel weights W0 = (1, 0), W1 = (1, 1):
+    # diagonal |W|^2 2 pi, off-diagonal <W0, W1> integral e^{-it} = 0
+    @example((np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0]),
+              0.0, 0.0, 2 * np.pi))
     def test_entries_against_quadrature(self, case):
         amps, omega, shift, t0, t1 = case
-        G = trace_gram(amps, omega, t0, t1, shift=shift)
+        outer = sum(np.outer(a, np.conj(a)) for a in amps)
+        grams = [exp_kernel(omega + shift, -omega, t0, t1) * outer]
+        if not shift:
+            grams.append(exp_kernel(omega, None, t0, t1) * outer)
         n = len(omega)
-        assert np.array_equal(G, G.conj().T)
         for i in range(n):
             for j in range(n):
-                weight = np.sum(amps[:, i] * np.conj(amps[:, j]))
                 z = omega[i] - omega[j] + shift
-                re, _ = quad(lambda t: (weight * np.exp(1j * z * t)).real,
+                re, _ = quad(lambda t: (outer[i, j] * np.exp(1j * z * t)).real,
                              t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
-                im, _ = quad(lambda t: (weight * np.exp(1j * z * t)).imag,
+                im, _ = quad(lambda t: (outer[i, j] * np.exp(1j * z * t)).imag,
                              t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
-                assert abs(G[i, j] - (re + 1j * im)) <= 1e-10
+                for G in grams:
+                    assert abs(G[i, j] - (re + 1j * im)) <= 1e-10
 
-    def test_vector_weights(self):
-        # signals e^{0}, e^{it} with channel weights W0 = (1, 0), W1 = (1, 1)
-        amps = np.array([[1.0, 1.0], [0.0, 1.0]])
-        gm = trace_gram(amps, np.array([0.0, 1.0]), 0.0, 2 * np.pi)
-        # diagonal: |W|^2 * 2pi; off-diagonal: <W0, W1> * integral e^{-it}
-        assert gm[0, 0] == pytest.approx(2 * np.pi)
-        assert gm[1, 1] == pytest.approx(4 * np.pi)
+    @pytest.mark.parametrize("preset", ["generic", "resonant"])
+    def test_operators_exactly_hermitian(self, preset):
+        params = PRESETS[preset]
+        for mode in ("both", "f_only", "g_only"):
+            lam = assemble_lambda(params, 6, 0.7, 3.0, mode).matrix
+            assert np.array_equal(lam, lam.conj().T)
+        for rate in (0.0, 0.5):
+            lam_w = _weighted_gramian(params, 6, 0.7, rate, 3.0)[3]
+            assert np.array_equal(lam_w, lam_w.conj().T)
 
 
 class TestObservabilityConstants:
@@ -772,6 +785,22 @@ class TestIngham:
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(ValueError):
             ingham_report([1.0, 1.0, 2.0], ObservationWindow(0.0, 1.0))
+
+    @pytest.mark.parametrize("length", [0.3, 2.0, 2 * np.pi, 37.0, 1e3])
+    def test_against_uncentred_complex_gram(self, length):
+        # the extreme eigenvalues of the complex Gram over [t0, t1] from
+        # exp_kernel, for non-integer families and t0 != 0
+        rng = np.random.default_rng(int(length * 10))
+        for _ in range(10):
+            freqs = np.sort(rng.uniform(-16.0, 16.0, int(rng.integers(3, 25))))
+            t0 = float(rng.uniform(-7.0, 7.0))
+            direct, inverse = ingham_report(
+                freqs, ObservationWindow(t0, t0 + length))
+            G = exp_kernel(freqs, None, t0, t0 + length)
+            ref = np.linalg.eigvalsh((G + G.conj().T) / 2)
+            beta = ref[-1]
+            assert abs(direct - beta) <= 5e-15 * beta
+            assert abs(inverse - ref[0]) <= 5e-15 * beta
 
 
 class TestDividedDifferenceConstants:

@@ -279,7 +279,8 @@ class TestForcedEvolve:
         f2 = ExponentialSignal(((0.5j, -1.0, 0),))
         sep = (forced_evolve(GENERIC, N, s1, f1, None, 0.1, T)
                + forced_evolve(GENERIC, N, s2, f2, None, 0.1, T))
-        joint = forced_evolve(GENERIC, N, s1 + s2, f1 + f2, None, 0.1, T)
+        f12 = ExponentialSignal.from_terms(f1.terms + f2.terms)
+        joint = forced_evolve(GENERIC, N, s1 + s2, f12, None, 0.1, T)
         scale = np.max(np.abs(joint.coeffs))
         assert np.max(np.abs(sep.coeffs - joint.coeffs)) <= 1e-11 * max(1, scale)
 
