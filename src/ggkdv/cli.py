@@ -39,53 +39,73 @@ class ConfigError(Exception):
     pass
 
 
-#: Every config key that some command reads; any other key is a typo.
-#: ``preset`` and ``seed`` are also set by the global flags.
-_KEYS = frozenset({
-    "preset", "seed", "a", "c", "d", "r", "N", "ns", "mode", "x0", "tol",
-    "window_length", "window_lengths", "frequencies", "freq_min",
-    "freq_max", "t0", "t1", "T", "initial", "target", "omega_target", "Th",
-    "T_sim", "draws"})
+_FINITE = (-sys.float_info.max, sys.float_info.max)
+_POSITIVE = (5e-324, sys.float_info.max)  # 5e-324: the least positive float
 _MAX_N = (np.iinfo(np.intp).max - 2) // 4  # 2(2N+1) coefficients indexable
 
+#: Every config key that some command reads, as (kind, low, high); any other
+#: key is a typo.  The bounds are inclusive, hold for every entry of a list
+#: and every coefficient of a state, and compare JSON integers exactly,
+#: beyond the float range too.  ``preset`` and ``seed`` are also set by the
+#: global flags; each command checks ``mode`` against its own names.
+_KEYS = {
+    "preset": ("preset", None, None),
+    "mode": ("mode", None, None),
+    **dict.fromkeys(("initial", "target"), ("state", *_FINITE)),
+    **dict.fromkeys(("seed", "draws"), ("integer", 0, np.inf)),
+    "N": ("integer", 0, _MAX_N),
+    "ns": ("integer list", 0, _MAX_N),
+    **dict.fromkeys(("freq_min", "freq_max"), ("integer", -_MAX_N, _MAX_N)),
+    "x0": ("number", -2 * np.pi, 2 * np.pi),
+    **dict.fromkeys(("a", "c", "d", "r", "tol", "window_length", "T_sim"),
+                    ("number", *_POSITIVE)),
+    "window_lengths": ("number list", *_POSITIVE),
+    **dict.fromkeys(("t0", "t1", "T", "omega_target", "Th"),
+                    ("number", *_FINITE)),
+    "frequencies": ("number list", *_FINITE),
+}
 
-def _int(key: str, val, minimum: int | None = 0,
-         maximum: int | None = None) -> int:
-    """An integer config value (integral floats pass) within the bounds."""
-    if isinstance(val, float) and val.is_integer():
+
+def _get(cfg: dict, key: str, default):
+    """``cfg[key]`` checked against its row of ``_KEYS``, or ``default``
+    when the config does not set it.  Numbers come back as floats."""
+    if key not in cfg:
+        return default
+    val, (kind, lo, hi) = cfg[key], _KEYS[key]
+    if kind == "preset":
+        if val is None or isinstance(val, str) and val in spectral.PRESETS:
+            return val
+        raise ConfigError(f"unknown preset {val!r}")
+    if kind == "mode" or kind == "state" and val in (None, "zero", "random"):
+        return val
+    if kind == "state":
+        if not isinstance(val, list) or not all(
+                isinstance(c, list) and len(c) == 2 for c in val):
+            raise ConfigError(f"{key} must be zero, random or a list of "
+                              f"[re, im] pairs, got {val!r}")
+        return [[_scalar(key, "number", x, lo, hi) for x in c] for c in val]
+    if kind.endswith(" list"):
+        if not isinstance(val, list):
+            raise ConfigError(f"{key} must be a list, got {val!r}")
+        return [_scalar(key, kind[:-5], x, lo, hi) for x in val]
+    return _scalar(key, kind, val, lo, hi)
+
+
+def _scalar(key: str, kind: str, val, lo, hi):
+    """An integer (integral floats pass) or a number within [lo, hi]."""
+    if kind == "integer" and isinstance(val, float) and val.is_integer():
         val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{key} must be <= {maximum}")
-    return val
-
-
-def _float(key: str, val, positive: bool = False) -> float:
-    """A finite float config value, strictly positive when asked.  The
-    bound compares JSON integers exactly, beyond the float range too."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not abs(val) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {val!r}")
-    if positive and not val > 0:
-        raise ConfigError(f"{key} must be positive, got {val!r}")
-    return float(val)
-
-
-def _x0(cfg: dict) -> float:
-    """x0 within [-2 pi, 2 pi], which holds every point of the circle."""
-    x0 = cfg.get("x0", 0.0)
-    if isinstance(x0, bool) or not isinstance(x0, (int, float)) \
-            or not abs(x0) <= 2 * np.pi:
-        raise ConfigError(f"x0 must lie in [-2π, 2π], got {x0!r}")
-    return float(x0)
+    if isinstance(val, bool) \
+            or not isinstance(val, int if kind == "integer" else (int, float)) \
+            or not lo <= val <= hi:
+        raise ConfigError(f"{key} takes {kind}s in [{lo!r}, {hi!r}], "
+                          f"got {val!r}")
+    return val if kind == "integer" else float(val)
 
 
 def _mode(cfg: dict, aliases: dict) -> str:
     """Mode from its short alias or its full name."""
-    mode = cfg.get("mode", "both")
+    mode = _get(cfg, "mode", "both")
     mode = aliases.get(mode, mode) if isinstance(mode, str) else mode
     if mode not in aliases.values():
         raise ConfigError(f"unknown mode {mode!r}; expected one of "
@@ -93,37 +113,23 @@ def _mode(cfg: dict, aliases: dict) -> str:
     return mode
 
 
-def _list(cfg: dict, key: str) -> list:
-    val = cfg.get(key) or []
-    if not isinstance(val, list):
-        raise ConfigError(f"{key} must be a list, got {val!r}")
-    return val
-
-
 def _params_from(cfg: dict) -> spectral.PhysicalParams:
-    preset = cfg.get("preset")
+    preset = _get(cfg, "preset", None)
     if preset is not None:
-        if not isinstance(preset, str) or preset not in spectral.PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
         return spectral.PRESETS[preset]
-    return spectral.PhysicalParams(*(
-        _float(key, cfg.get(key, 1.0), positive=True) for key in "acdr"))
+    return spectral.PhysicalParams(*(_get(cfg, key, 1.0) for key in "acdr"))
 
 
 def _state_from(spec_val, N: int, rng: np.random.Generator) -> modal.ModalState:
+    """A state from its ``_get`` value."""
     if spec_val in (None, "zero"):
         return modal.ModalState.zeros(N)
     if spec_val == "random":
         return modal.ModalState.random(N, rng)
-    if isinstance(spec_val, list):
-        if not all(isinstance(c, list) and len(c) == 2 for c in spec_val):
-            raise ConfigError("state coefficients must be [re, im] pairs")
-        flat = np.array([complex(_float("state", re), _float("state", im))
-                         for re, im in spec_val])
-        if len(flat) != 2 * (2 * N + 1):
-            raise ConfigError("state coefficient list has wrong length")
-        return modal.ModalState(N, flat.reshape(2, 2 * N + 1))
-    raise ConfigError(f"cannot interpret state spec {spec_val!r}")
+    if len(spec_val) != 2 * (2 * N + 1):
+        raise ConfigError("state coefficient list has wrong length")
+    flat = np.array([complex(re, im) for re, im in spec_val])
+    return modal.ModalState(N, flat.reshape(2, 2 * N + 1))
 
 
 def _signal_terms(sig) -> list[dict]:
@@ -134,15 +140,11 @@ def _signal_terms(sig) -> list[dict]:
 
 
 def cmd_spectrum(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 8), maximum=_MAX_N)
+    N = _get(cfg, "N", 8)
     table = spectral.spectrum_table(params, N)
-    rows = []
-    for b in (spectral.Branch.PLUS, spectral.Branch.MINUS):
-        for k in table.ks:
-            col = k + N
-            z = table.z[b, col]
-            rows.append((str(int(k)), str(b), table.omega[b, col],
-                         z[0], 0.0, z[1], 0.0))
+    rows = [(str(j - N), str(b), table.omega[b, j], table.z[b, j, 0], 0.0,
+             table.z[b, j, 1], 0.0)
+            for b in spectral.Branch for j in range(2 * N + 1)]
     _write_csv(out / "spectrum.csv",
                ["k", "branch", "omega", "z1_re", "z1_im", "z2_re", "z2_im"],
                rows)
@@ -150,14 +152,11 @@ def cmd_spectrum(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_gaps(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 200), minimum=2, maximum=_MAX_N)
+    N = _get(cfg, "N", 200)
     report = spectral.gap_report(params, N)
-    rows = []
-    ks = np.arange(-N, N)
-    for k, gp in zip(ks, report.plus_gaps):
-        rows.append((str(int(k)), "+", gp))
-    for k, gm in zip(ks, report.minus_gaps):
-        rows.append((str(int(k)), "-", gm))
+    rows = [(str(k), b, gap)
+            for b, gaps in (("+", report.plus_gaps), ("-", report.minus_gaps))
+            for k, gap in zip(range(-N, N), gaps)]
     _write_csv(out / "gaps.csv", ["k", "branch", "gap"], rows)
     _write_json(out / "gaps_summary.json", {
         "N": N,
@@ -171,8 +170,8 @@ def cmd_gaps(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_resonance(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 12), maximum=_MAX_N)
-    tol = _float("tol", cfg.get("tol", 1e-9), positive=True)
+    N = _get(cfg, "N", 12)
+    tol = _get(cfg, "tol", 1e-9)
     report = spectral.resonance_check(params, N, tol)
     rows = [(str(k1), str(b1), str(k2), str(b2))
             for (k1, b1), (k2, b2) in report.violations]
@@ -184,14 +183,11 @@ def cmd_resonance(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
-    ns = [_int("ns", N, maximum=_MAX_N) for N in _list(cfg, "ns")] \
-        or [_int("N", cfg.get("N", 8), maximum=_MAX_N)]
+    ns = _get(cfg, "ns", []) or [_get(cfg, "N", 8)]
     mode = _mode(cfg, {"both": "both", "u": "u_only", "v": "v_only"})
-    lengths = [_float("window_lengths", length, positive=True)
-               for length in _list(cfg, "window_lengths")] \
-        or [_float("window_length", cfg.get("window_length", 1.0),
-                   positive=True)]
-    x0 = _x0(cfg)
+    lengths = _get(cfg, "window_lengths", []) \
+        or [_get(cfg, "window_length", 1.0)]
+    x0 = _get(cfg, "x0", 0.0)
     rows = []
     for N in ns:
         for length in lengths:
@@ -206,23 +202,13 @@ def cmd_observe(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
-    if "frequencies" in cfg:
-        freqs = [_float("frequencies", f) for f in _list(cfg, "frequencies")]
-        if not freqs:
-            raise ConfigError("frequencies must be a nonempty list")
-    else:
-        lo = _int("freq_min", cfg.get("freq_min", -5), minimum=None)
-        hi = _int("freq_max", cfg.get("freq_max", 5), minimum=lo)
-        freqs = list(range(lo, hi + 1))
-    t0 = _float("t0", cfg.get("t0", 0.0))
-    t1 = _float("t1", cfg.get("t1", 2 * np.pi))
-    if not t1 > t0:
-        raise ConfigError(f"window needs t1 > t0, got t0={t0!r}, t1={t1!r}")
-    window = gram.ObservationWindow(t0, t1)
-    try:
-        direct, inverse = gram.ingham_report(freqs, window)
-    except ValueError as exc:  # repeated frequencies, overflowing window
-        raise ConfigError(str(exc)) from exc
+    freqs = _get(cfg, "frequencies", None)
+    if freqs is None:
+        freqs = list(range(_get(cfg, "freq_min", -5),
+                           _get(cfg, "freq_max", 5) + 1))
+    window = gram.ObservationWindow(_get(cfg, "t0", 0.0),
+                                    _get(cfg, "t1", 2 * np.pi))
+    direct, inverse = gram.ingham_report(freqs, window)
     _write_csv(out / "ingham.csv",
                ["family_size", "window_length", "direct_const", "inverse_const"],
                [(str(len(freqs)), window.length, direct, inverse)])
@@ -230,18 +216,15 @@ def cmd_ingham(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _x0(cfg)
+    N = _get(cfg, "N", 6)
+    x0 = _get(cfg, "x0", 0.0)
     T0 = spectral.critical_time(params)
-    T = _float("T", cfg.get("T", 1.2 * T0 if T0 else 1.0), positive=True)
+    T = _get(cfg, "T", 1.2 * T0 if T0 else 1.0)
     mode = _mode(cfg, {"both": "both", "f": "f_only", "g": "g_only"})
-    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
-    initial = _state_from(cfg.get("initial", "random"), N, rng)
-    target = _state_from(cfg.get("target", "zero"), N, rng)
-    try:
-        system = hum.assemble_lambda(params, N, x0, T, mode)
-    except ValueError as exc:  # the horizon overflows the operator
-        raise ConfigError(str(exc)) from exc
+    rng = np.random.default_rng(_get(cfg, "seed", 0))
+    initial = _state_from(_get(cfg, "initial", "random"), N, rng)
+    target = _state_from(_get(cfg, "target", "zero"), N, rng)
+    system = hum.assemble_lambda(params, N, x0, T, mode)
     plan = hum.solve_control(params, N, x0, T, initial, target, mode, system)
     error = hum.verify_roundtrip(params, N, plan, initial, target)
     _write_json(out / "plan.json", {
@@ -258,22 +241,16 @@ def cmd_control(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _x0(cfg)
-    omega_target = _float("omega_target", cfg.get("omega_target", 0.5))
+    N = _get(cfg, "N", 6)
+    x0 = _get(cfg, "x0", 0.0)
+    omega_target = _get(cfg, "omega_target", 0.5)
     T0 = spectral.critical_time(params)
-    Th = _float("Th", cfg.get("Th", 1.5 * T0 if T0 else 2.0))
-    T_sim = _float("T_sim", cfg.get("T_sim", 20.0), positive=True)
-    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
-    state0 = _state_from(cfg.get("initial", "random"), N, rng)
-    try:
-        gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
-        report = stabilize.closed_loop_simulate(params, N, gains, state0,
-                                                T_sim)
-    except np.linalg.LinAlgError:  # a ValueError, but not a config error
-        raise
-    except ValueError as exc:  # rate, horizons, resonance, zero state, fit
-        raise ConfigError(str(exc)) from exc
+    Th = _get(cfg, "Th", 1.5 * T0 if T0 else 2.0)
+    T_sim = _get(cfg, "T_sim", 20.0)
+    rng = np.random.default_rng(_get(cfg, "seed", 0))
+    state0 = _state_from(_get(cfg, "initial", "random"), N, rng)
+    gains = stabilize.feedback_gains(params, N, x0, omega_target, Th)
+    report = stabilize.closed_loop_simulate(params, N, gains, state0, T_sim)
     _write_csv(out / "decay.csv", ["t", "energy", "log_energy"],
                [(t, e, np.log(max(e, 1e-300)))
                 for t, e in zip(report.times, report.energies)])
@@ -287,22 +264,19 @@ def cmd_stabilize(cfg, params, out: Path, quiet: bool) -> int:
 
 
 def cmd_duality(cfg, params, out: Path, quiet: bool) -> int:
-    N = _int("N", cfg.get("N", 6), maximum=_MAX_N)
-    x0 = _x0(cfg)
-    T = _float("T", cfg.get("T", 1.0))
-    draws = _int("draws", cfg.get("draws", 5))
-    rng = np.random.default_rng(_int("seed", cfg.get("seed", 0)))
+    N = _get(cfg, "N", 6)
+    x0 = _get(cfg, "x0", 0.0)
+    T = _get(cfg, "T", 1.0)
+    draws = _get(cfg, "draws", 5)
+    rng = np.random.default_rng(_get(cfg, "seed", 0))
     from .signals import ExponentialSignal
     rows = []
     for i in range(draws):
         initial = modal.ModalState.random(N, rng)
         seed_state = modal.ModalState.random(N, rng)
-        f = ExponentialSignal.from_terms(
+        f, g = (ExponentialSignal.from_terms(
             [(rng.standard_normal() + 1j * rng.standard_normal(),
-              rng.uniform(-5, 5), 0) for _ in range(3)])
-        g = ExponentialSignal.from_terms(
-            [(rng.standard_normal() + 1j * rng.standard_normal(),
-              rng.uniform(-5, 5), 0) for _ in range(3)])
+              rng.uniform(-5, 5), 0) for _ in range(3)]) for _ in "fg")
         res = hum.duality_residual(params, N, f, g, x0, initial, seed_state, T)
         rows.append((str(i), res))
     _write_csv(out / "duality.csv", ["draw", "residual"], rows)
@@ -342,29 +316,26 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             if not isinstance(cfg, dict):
                 raise ConfigError("config must be a JSON object")
-            unknown = sorted(set(cfg) - _KEYS)
+            unknown = sorted(cfg.keys() - _KEYS.keys())
             if unknown:
                 raise ConfigError(f"unknown key {unknown[0]!r}")
         if args.preset is not None:
             cfg["preset"] = args.preset
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-
+        args.out.mkdir(parents=True, exist_ok=True)
         params = _params_from(cfg)
         if params.resonant:
             print(f"warning: resonant parameters (a*d=1); critical time "
                   f"T0={spectral.critical_time(params):.6g}", file=sys.stderr)
-
-        return _DISPATCH[args.command](cfg, params, out, args.quiet)
+        return _DISPATCH[args.command](cfg, params, args.out, args.quiet)
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
     except IllConditioned as exc:
         print(f"ill-conditioned: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GGKdVError, MemoryError) as exc:
+    except (ConfigError, GGKdVError, MemoryError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
 

@@ -136,7 +136,8 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     K(omega_i - omega_j)`` in the real-field basis, for amplitude rows even
     and frequencies odd in k; C+ runs over [branch, k] for k >= 0, C- for
     k > 0.  Their kernels K(omega_i -+ omega_j) come from
-    ``_parity_kernels``, one at a time."""
+    ``_parity_kernels``, one at a time.  Raises ValueError for a
+    half-window h at which they overflow."""
     N = (len(omega) // 2 - 1) // 2
     w = omega.reshape(2, 2 * N + 1)[:, N:].ravel()
     a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].copy()
@@ -145,14 +146,17 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     a = a.reshape(len(amps), -1)
     # plus holds K(omega_i - omega_j) until it becomes C+; C- drops the
     # rows and columns of k = 0 on both branches
-    plus, summ = _parity_kernels(w, h)
-    A = np.multiply.outer(a[0], a[0])
-    for row in a[1:]:
-        A += np.multiply.outer(row, row)
-    minus = _positive(plus, N) - _positive(summ, N)
-    minus *= _positive(A, N)
-    plus += summ
-    plus *= A
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus, summ = _parity_kernels(w, h)
+        A = np.multiply.outer(a[0], a[0])
+        for row in a[1:]:
+            A += np.multiply.outer(row, row)
+        minus = _positive(plus, N) - _positive(summ, N)
+        minus *= _positive(A, N)
+        plus += summ
+        plus *= A
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise ValueError(f"half-window h={h:g} overflows the form")
     return plus, minus.reshape(2 * N, 2 * N)
 
 
@@ -194,7 +198,7 @@ def _addition_kernel(op, w, sc, h: float):
     """K(x) at x = op(w_i, w_j), op np.subtract or np.add, from sc = 2 s_i
     c_j: ``op(sc, sc^T) / x``, or ``_centred_kernel`` where |x| h < 1."""
     x = op.outer(w, w)
-    near = np.abs(x) < 1 / h
+    near = np.abs(x) * h < 1  # not 1 / h: h may underflow to 0
     num = op(sc, sc.T)
     np.divide(num, x, out=num, where=~near)
     num[near] = _centred_kernel(x[near], h)
@@ -273,8 +277,8 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     those of the real Gram ``_centred_kernel(omega_i - omega_j)`` over the
     centred window [-h, h]."""
     freqs = np.asarray(sorted(frequencies), dtype=float)
-    if len(np.unique(freqs)) != len(freqs):
-        raise ValueError("frequencies must be distinct")
+    if not 0 < len(np.unique(freqs)) == len(freqs):
+        raise ValueError("frequencies must be one or more distinct numbers")
     with np.errstate(over="ignore", invalid="ignore"):
         G = _centred_kernel(np.subtract.outer(freqs, freqs), window.length / 2)
     if not np.all(np.isfinite(G)):

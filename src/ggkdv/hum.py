@@ -11,6 +11,7 @@ solves use the eigenvectors of its two parity blocks from ``gram``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -201,7 +202,11 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     COND_LIMIT, or when the estimated relative round-trip error of the
     solve, ``eps * lambda_max * |s| / |rhs|``, exceeds ERROR_EST_LIMIT.
     """
-    scale = max(h_norm(params, initial), h_norm(params, target), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = h_norm(params, initial), h_norm(params, target)
+    if not all(map(math.isfinite, norms)):
+        raise ValueError("initial and target states must have finite energy")
+    scale = max(*norms, 1.0)
     if mode == "g_only":
         if abs(u_mean(params, initial) - u_mean(params, target)) > MEAN_TOL * scale:
             raise ConstraintViolation(
@@ -306,16 +311,21 @@ def duality_residual(params: PhysicalParams, N: int,
                      T: float) -> float:
     """Relative defect of the transposition identity: the pairing of the
     controlled state with the adjoint solution at T equals its value at 0
-    plus the directed time integral of (f, g) against the adjoint traces."""
-    final = forced_evolve(params, N, initial, f, g, x0, T)
-    adj_final = evolve(params, adjoint_seed, T)
-    lhs = bilinear_pairing(params, final, adj_final)
-    phi_sig, psi_sig = adjoint_trace(params, adjoint_seed, x0)
-    rhs = bilinear_pairing(params, initial, adjoint_seed)
-    if f:
-        rhs += f.bilinear_integral(phi_sig, 0.0, T)
-    if g:
-        rhs += g.bilinear_integral(psi_sig, 0.0, T)
-    scale = max(abs(lhs), abs(rhs),
-                energy(params, initial), energy(params, adjoint_seed), 1.0)
-    return abs(lhs - rhs) / scale
+    plus the directed time integral of (f, g) against the adjoint traces.
+    Raises ValueError when the horizon overflows the defect."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = forced_evolve(params, N, initial, f, g, x0, T)
+        adj_final = evolve(params, adjoint_seed, T)
+        lhs = bilinear_pairing(params, final, adj_final)
+        phi_sig, psi_sig = adjoint_trace(params, adjoint_seed, x0)
+        rhs = bilinear_pairing(params, initial, adjoint_seed)
+        if f:
+            rhs += f.bilinear_integral(phi_sig, 0.0, T)
+        if g:
+            rhs += g.bilinear_integral(psi_sig, 0.0, T)
+        scale = max(abs(lhs), abs(rhs), energy(params, initial),
+                    energy(params, adjoint_seed), 1.0)
+        residual = abs(lhs - rhs) / scale
+    if not np.isfinite(residual):
+        raise ValueError(f"horizon T={T:g} overflows the duality defect")
+    return residual

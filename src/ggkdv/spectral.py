@@ -149,8 +149,9 @@ class SpectrumTable:
 
 @lru_cache(maxsize=64)
 def spectrum_table(params: PhysicalParams, N: int) -> SpectrumTable:
-    """Raises GGKdVError when omega or a norm, and so z or zt, is not
-    finite, as when the weight ac/d or its reciprocal is 0 or inf."""
+    """Raises GGKdVError when omega is not finite, or a norm (and so z or
+    zt) is not finite and positive: as when the weight ac/d or its
+    reciprocal is 0 or inf, or a norm underflows to 0."""
     if N < 0:
         raise ValueError("truncation N must be >= 0")
     w = np.float64(params.weight)  # so 1/w at w = 0 is inf, not an error
@@ -158,8 +159,10 @@ def spectrum_table(params: PhysicalParams, N: int) -> SpectrumTable:
         omega, z, zt = _closed_forms(params, np.arange(-N, N + 1))
         norm2 = z[:, :, 0] ** 2 + w * z[:, :, 1] ** 2
         adjoint_norm2 = zt[:, :, 0] ** 2 + (1.0 / w) * zt[:, :, 1] ** 2
-    if not all(np.all(np.isfinite(a)) for a in (omega, norm2, adjoint_norm2)):
-        raise GGKdVError(f"{params} at N={N} has no finite spectrum table")
+    if not (np.all(np.isfinite(omega)) and all(
+            np.all((0 < n) & (n < np.inf)) for n in (norm2, adjoint_norm2))):
+        raise GGKdVError(f"{params} at N={N} has no finite spectrum table "
+                         "with positive norms")
     return SpectrumTable(N, omega, z, zt, norm2)
 
 

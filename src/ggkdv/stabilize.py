@@ -71,7 +71,8 @@ class FeedbackGains:
 
 def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
                       omega_target: float, Th: float):
-    """(omega, scale, B, Lambda_w) in orthonormal coordinates y = scale * c."""
+    """(omega, scale, B, Lambda_w) in orthonormal coordinates y = scale * c.
+    Raises ValueError when the rate or the horizon overflows Lambda_w."""
     table = spectrum_table(params, N)
     omega = table.omega.ravel()
     scale = np.sqrt(2 * np.pi * table.norm2).ravel()
@@ -82,8 +83,12 @@ def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
     # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}, times
     # sum_c inputs[c, m] conj(inputs[c, j]), whose diagonal is not exactly
     # real
-    lam = exp_kernel(2j * omega_target - omega, omega, 0.0, Th)
-    lam *= sum(np.outer(a, np.conj(a)) for a in inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = exp_kernel(2j * omega_target - omega, omega, 0.0, Th)
+        lam *= sum(np.outer(a, np.conj(a)) for a in inputs)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"rate {omega_target:g} and horizon Th={Th:g} "
+                         "overflow the weighted Gramian")
     return omega, scale, inputs.T, (lam + lam.conj().T) / 2
 
 
@@ -145,20 +150,25 @@ def closed_loop_simulate(params: PhysicalParams, N: int, gains: FeedbackGains,
     # stay a normal float
     if not T_sim >= np.sqrt(tiny):
         raise ValueError(f"T_sim must be at least {np.sqrt(tiny):.2g}")
-    z = _to_real(state0.coeffs.ravel()
-                 * np.sqrt(2 * np.pi * spectrum_table(params, N).norm2).ravel())
-    if not np.vdot(z, z).real > 0:
-        raise ValueError("initial state has zero energy; no decay to fit")
-    vals, vecs = np.linalg.eig(gains.real_loop)
-    # rows e^{lambda t_i} V^-1 z by a running product: cheaper than direct
-    # exponentials of the large phases; complex even when eig returns reals
-    modes = np.empty((SIM_STEPS + 1, len(z)), dtype=complex)
-    modes[0] = np.linalg.solve(vecs, z)
-    modes[1:] = np.exp(vals * (T_sim / SIM_STEPS))
-    states = np.cumprod(modes, axis=0, out=modes) @ vecs.T
-    states[0] = z  # not V V^-1 z, which is off by eps cond(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _to_real(state0.coeffs.ravel() * np.sqrt(
+            2 * np.pi * spectrum_table(params, N).norm2).ravel())
+        if not 0 < np.vdot(z, z).real < np.inf:
+            raise ValueError("initial state has zero energy or overflows; "
+                             "no decay to fit")
+        vals, vecs = np.linalg.eig(gains.real_loop)
+        # rows e^{lambda t_i} V^-1 z by a running product: cheaper than
+        # direct exponentials of the large phases; complex even when eig
+        # returns reals
+        modes = np.empty((SIM_STEPS + 1, len(z)), dtype=complex)
+        modes[0] = np.linalg.solve(vecs, z)
+        modes[1:] = np.exp(vals * (T_sim / SIM_STEPS))
+        states = np.cumprod(modes, axis=0, out=modes) @ vecs.T
+        states[0] = z  # not V V^-1 z, which is off by eps cond(V)
+        energies = np.sum(states.real ** 2 + states.imag ** 2, axis=1)
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("the energy of the closed loop overflows")
     times = np.linspace(0.0, T_sim, SIM_STEPS + 1)
-    energies = np.sum(states.real ** 2 + states.imag ** 2, axis=1)
     norm0 = np.sqrt(energies[0])
     # the overshoot over e^{-0.9 w t} in logs, where neither factor
     # underflows on long horizons; an energy of 0 gives -inf and bounds

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ggkdv import cli
 from ggkdv.errors import GGKdVError
@@ -264,7 +271,7 @@ class TestErrors:
                 command(cfg, cli._params_from(cfg), out, True)
             except (cli.ConfigError, GGKdVError):
                 pass  # control and stabilize reject the defaults after the reads
-        assert read == cli._KEYS
+        assert read == cli._KEYS.keys()
 
     @pytest.mark.parametrize("command, cfg", [
         # default parameters are resonant: Th=2 is below T0 = 4 pi
@@ -336,6 +343,17 @@ class TestErrors:
         assert "ill-conditioned" in err
 
 
+class TestReadme:
+    def test_key_table_names_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines()
+                       if line.startswith("| `")]
+        named = [key for cell in first_cells
+                 for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(named) == sorted(cli._KEYS)
+
+
 class TestWarnings:
     def test_resonant_warning_mentions_critical_time(self, tmp_path, capsys):
         assert run_cli(tmp_path, "spectrum",
@@ -359,3 +377,105 @@ class TestEntryPoint:
         summary = json.loads((tmp_path / "gaps_summary.json").read_text())
         assert summary["A_const"] == pytest.approx(1 + math.sqrt(2))
         assert (tmp_path / "gaps.csv").exists()
+
+
+# numbers at the edges of the float range, beside ordinary ones
+EDGE_NUMBERS = [0, 1, -1, 0.5, 2.5, 7, 1e20, 1e308, -1e308, 1e-300, 5e-324,
+                -5e-324, math.inf, math.nan]
+# integers kept small where they size a run: N, ns entries, draws and the
+# Ingham range
+SIZES = {"N": st.integers(-1, 32), "ns": st.integers(-1, 32),
+         "draws": st.integers(-1, 3), "freq_min": st.integers(-8, 8),
+         "freq_max": st.integers(-8, 8), "seed": st.integers(-1, 2**70)}
+ALIEN = st.sampled_from(["abc", None, True, [], {}, [[1, 2, 3]], 0, ""])
+
+
+@st.composite
+def cli_runs(draw):
+    """A command and a config over the keys of ``cli._KEYS``: each drawn
+    key holds a value of its kind, in or out of its range, or a value of
+    another kind.  N stays at most 32, draws at most 3 and ns at most 3
+    entries long, so every run is small."""
+    number = st.sampled_from(EDGE_NUMBERS) | st.floats(-10, 10) | st.floats()
+    cfg = {"preset": "generic"}
+    for key in draw(st.lists(st.sampled_from(sorted(cli._KEYS)), unique=True,
+                             max_size=6)):
+        kind = cli._KEYS[key][0]
+        scalar = SIZES.get(key, number)
+        own = {
+            "preset": st.sampled_from([None, "generic", "resonant", "nope"]),
+            "mode": st.sampled_from(["both", "u", "v", "f", "g", "u_only",
+                                     "g_only", "x"]),
+            "state": st.sampled_from(["zero", "random", None, "pairs"]),
+            "integer list": st.lists(scalar, max_size=3),
+            "number list": st.lists(scalar, max_size=3),
+        }.get(kind, scalar)
+        cfg[key] = draw(own | ALIEN)
+    for key in ("initial", "target"):
+        if cfg.get(key) == "pairs":
+            # one coefficient pair repeated, at the length N asks for
+            N = cfg.get("N", 6) if isinstance(cfg.get("N"), int) else 6
+            cfg[key] = [[draw(number), draw(number)]] * (2 * (2 * N + 1))
+    return draw(st.sampled_from(sorted(cli._DISPATCH))), cfg
+
+
+# the stderr line that goes with each exit code but 0
+EXIT_LINES = {2: "constraint violation:", 3: "ill-conditioned:",
+              4: "config error:"}
+
+
+class TestContractFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(cli_runs())
+    # non-finite forms: the window, the weighted Gramian's horizon and rate
+    @example(("observe", {"preset": "generic", "window_length": 1e308}))
+    @example(("stabilize", {"preset": "generic", "Th": 1e308}))
+    @example(("stabilize", {"preset": "generic", "omega_target": 1e308}))
+    @example(("stabilize", {"preset": "generic", "Th": 1e300,
+                            "omega_target": 0}))
+    # half-windows that underflow to zero
+    @example(("observe", {"preset": "generic", "window_length": 5e-324}))
+    @example(("control", {"preset": "generic", "T": 5e-324}))
+    # a spectrum table with a zero norm
+    @example(("observe", {"preset": None, "a": 1e-300}))
+    # horizons that overflow the duality defect
+    @example(("duality", {"preset": "generic", "T": 1e308}))
+    @example(("duality", {"preset": "generic", "T": -1e308}))
+    # states whose energy overflows, at once or in the closed loop
+    @example(("control", {"preset": "generic",
+                          "initial": [[1e308, 1e308]] * 26}))
+    @example(("stabilize", {"preset": "generic",
+                            "initial": [[1e308, 1e308]] * 26}))
+    # ... and one whose energy overflows only as it grows 2.7-fold
+    @example(("stabilize", {"preset": "resonant", "N": 32,
+                            "omega_target": 1.0,
+                            "initial": [[1.4e152, 0.0]] * 130}))
+    # falsy values that are not lists
+    @example(("observe", {"preset": "generic", "ns": 0}))
+    @example(("observe", {"preset": "generic", "ns": {}}))
+    @example(("observe", {"preset": "generic", "window_lengths": ""}))
+    def test_exit_code_and_stderr(self, run):
+        # every config ends in a documented exit code, with nothing on
+        # stderr but the resonant warning and the line of that code, and
+        # no warning; a run that exits 0 writes no NaN or infinity
+        command, cfg = run
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "config.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--out", out, "--quiet",
+                             "--config", str(path)])
+            written = [p.read_text() for p in Path(out).iterdir()
+                       if p != path]
+        assert code in (0, 2, 3, 4)
+        assert not any(re.search(r"(?i)\b(nan|inf|infinity)\b", text)
+                       for text in written)
+        lines = [ln for ln in err.getvalue().splitlines()
+                 if not ln.startswith("warning: resonant parameters")]
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith(EXIT_LINES[code])
