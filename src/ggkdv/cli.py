@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gram, hum, modal, spectral, stabilize
 from .errors import ConstraintViolation, GGKdVError, IllConditioned
+from .signals import ExponentialSignal
 
 
 def _fmt(x) -> str:
@@ -269,7 +270,6 @@ def cmd_duality(cfg, params, out: Path, quiet: bool) -> int:
     T = _get(cfg, "T", 1.0)
     draws = _get(cfg, "draws", 5)
     rng = np.random.default_rng(_get(cfg, "seed", 0))
-    from .signals import ExponentialSignal
     rows = []
     for i in range(draws):
         initial = modal.ModalState.random(N, rng)

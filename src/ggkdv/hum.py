@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConstraintViolation, IllConditioned
 from .gram import _parity_blocks, _unfold
-from .modal import (ModalState, adjoint_modal_uv, adjoint_trace, energy,
-                    evolve, forced_evolve, h_norm, modal_uv, u_mean, v_mean)
+from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
+                    h_norm, u_mean, v_mean)
 from .signals import ExponentialSignal, exp_kernel, total_l2_norm_sq
 from .spectral import (PhysicalParams, mode_phases, spectrum_table,
                        trace_amplitudes)
@@ -178,15 +178,15 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     return HumSystem(lam, phases, v, rows, omega, T)
 
 
-def _duality_rhs(params: PhysicalParams, defect: ModalState) -> np.ndarray:
-    """rhs_(n,b) = 2 pi (hat{u}_{-n} zt_{n,1}^b + hat{v}_{-n} zt_{n,2}^b)."""
-    N = defect.N
-    table = spectrum_table(params, N)
-    uv = modal_uv(params, defect)
-    uv_rev = uv[:, ::-1]  # index n -> hat at -n
-    rhs = 2 * np.pi * (table.zt[:, :, 0] * uv_rev[0]
-                       + table.zt[:, :, 1] * uv_rev[1])
-    return rhs.ravel()
+def _duality_rhs(params: PhysicalParams, state: ModalState) -> np.ndarray:
+    """rhs_(n,b) = 2 pi ||Z_n^b||_w^2 / w c^b_{-n}, w = ac/d.
+
+    This is 2 pi (hat{u}_{-n} zt_{n,1}^b + hat{v}_{-n} zt_{n,2}^b): the
+    adjoint eigenvectors are biorthogonal to the forward ones,
+    Zt^b . Z^b' = delta_bb' ||Z^b||_w^2 / w, and Z is even in k."""
+    table = spectrum_table(params, state.N)
+    return (2 * np.pi * table.norm2 / params.weight
+            * state.coeffs[:, ::-1]).ravel()
 
 
 def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
@@ -257,9 +257,9 @@ def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
                      system: HumSystem | None = None) -> ModalState:
     """State whose null-control problem has the given adjoint seed.
 
-    Applies the trace Gram to ``seed_coeffs`` and inverts the (per-mode,
-    well-conditioned) duality map back to a modal state.  Steering data
-    built from an O(1) seed keeps the control amplitudes moderate even
+    Applies the trace Gram to ``seed_coeffs`` and divides by the diagonal
+    weights 2 pi ||Z||_w^2 / w of the duality map, with k reversed.  Steering
+    data built from an O(1) seed keeps the control amplitudes moderate even
     when the window is shorter than the Ingham threshold of the trace
     frequencies, where generic data would need controls of size 1/alpha.
     The result automatically satisfies the conserved-mean constraint of
@@ -268,16 +268,10 @@ def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
     """
     if system is None:
         system = assemble_lambda(params, N, x0, T, mode)
-    rhs = (system.matrix @ np.asarray(seed_coeffs, dtype=complex))
+    rhs = system.matrix @ np.asarray(seed_coeffs, dtype=complex)
     table = spectrum_table(params, N)
-    rhs2 = rhs.reshape(2, 2 * N + 1) / (2 * np.pi)
-    # per column k: zt[:, k, :] (hat u_{-k}, hat v_{-k}) = rhs2[:, k]
-    uv_rev = np.linalg.solve(table.zt.transpose(1, 0, 2), rhs2.T[:, :, None])
-    uv = uv_rev[::-1, :, 0].T
-    w = params.weight
-    coeffs = (table.z[:, :, 0] * uv[0]
-              + w * table.z[:, :, 1] * uv[1]) / table.norm2
-    return ModalState(N, coeffs)
+    weights = 2 * np.pi * table.norm2 / params.weight
+    return ModalState(N, rhs.reshape(2, -1)[:, ::-1] / weights)
 
 
 def verify_roundtrip(params: PhysicalParams, N: int, plan: ControlPlan,
@@ -296,12 +290,11 @@ def control_cost(plan: ControlPlan) -> float:
 
 def bilinear_pairing(params: PhysicalParams, state: ModalState,
                      adjoint_state: ModalState) -> complex:
-    """``integral u phi + v psi dx`` = 2 pi sum_k (u_k phi_{-k} + v_k psi_{-k});
-    the pairing conserved by the mutually dual free flows."""
-    uv = modal_uv(params, state)
-    pq = adjoint_modal_uv(params, adjoint_state)
-    pq_rev = pq[:, ::-1]
-    return 2 * np.pi * complex(np.sum(uv[0] * pq_rev[0] + uv[1] * pq_rev[1]))
+    """``integral u phi + v psi dx`` = 2 pi sum_k (u_k phi_{-k} + v_k psi_{-k}),
+    diagonal in the eigenbases: the duality map of ``state`` applied to the
+    adjoint coefficients.  The pairing conserved by the mutually dual free
+    flows."""
+    return complex(_duality_rhs(params, state) @ adjoint_state.coeffs.ravel())
 
 
 def duality_residual(params: PhysicalParams, N: int,

@@ -158,12 +158,6 @@ def adjoint_trace(params: PhysicalParams, state: ModalState, x0: float):
     return _traces(params, state, x0, adjoint=True)
 
 
-def adjoint_modal_uv(params: PhysicalParams, state: ModalState) -> np.ndarray:
-    """Fourier coefficients (hat phi_k, hat psi_k) of an adjoint-basis state."""
-    table = spectrum_table(params, state.N)
-    return np.einsum("bkj,bk->jk", table.zt, state.coeffs)
-
-
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
                   f: ExponentialSignal | None, g: ExponentialSignal | None,
                   x0: float, T: float) -> ModalState:

@@ -96,7 +96,9 @@ def _closed_forms(params: PhysicalParams, ks):
     eigenvectors use the k^-3-scaled form, so components stay O(1) for
     large |k|; the degenerate mode k = 0 gets the fixed basis
     (2ac, +-sqrt(4acd)).  The adjoint (transposed-symbol) eigenvectors
-    share the v-components; their u-component is 2d instead of 2ac.
+    share the v-components; their u-component is 2d instead of 2ac.  As
+    v+ v- = -4acd, Zt^b . Z^b' = delta_bb' ||Z^b||_w^2 / w: ``hum``'s
+    duality map is diagonal.
     """
     a, c, d, r = params.a, params.c, params.d, params.r
     kf = np.asarray(ks, dtype=float)

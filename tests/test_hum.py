@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ggkdv.errors import ConstraintViolation, IllConditioned
@@ -547,6 +549,79 @@ class TestDuality:
         scale = max(abs(lhs), abs(rhs), energy(GENERIC, initial),
                     energy(GENERIC, seed), 1.0)
         assert abs(lhs - rhs) / scale <= 1e-7
+
+
+def fourier_pairing(params, state, adjoint_state):
+    """The pairing through Fourier coefficients,
+    2 pi sum_k (u_k phi_{-k} + v_k psi_{-k})."""
+    table = spectrum_table(params, state.N)
+    uv = np.einsum("bkj,bk->jk", table.z, state.coeffs)
+    pq = np.einsum("bkj,bk->jk", table.zt, adjoint_state.coeffs)
+    return 2 * np.pi * complex(np.sum(uv * pq[:, ::-1]))
+
+
+def solved_defect(params, N, rhs):
+    """The state with duality map ``rhs`` by per-mode 2x2 solves of
+    zt (hat u_{-k}, hat v_{-k}) = rhs / (2 pi), then the weighted projection
+    onto the forward eigenvectors."""
+    table = spectrum_table(params, N)
+    rhs2 = rhs.reshape(2, 2 * N + 1) / (2 * np.pi)
+    uv_rev = np.linalg.solve(table.zt.transpose(1, 0, 2), rhs2.T[:, :, None])
+    uv = uv_rev[::-1, :, 0].T
+    return (table.z[:, :, 0] * uv[0]
+            + params.weight * table.z[:, :, 1] * uv[1]) / table.norm2
+
+
+PAIRING_PARAMS = st.sampled_from([GENERIC, RESONANT]) | st.builds(
+    PhysicalParams, *[st.floats(0.1, 10.0)] * 4)
+
+
+class TestPairingFuzz:
+    """The diagonal pairing over the presets and (a, c, d, r) in
+    [0.1, 10]^4, where the adjoint eigenvectors are biorthogonal to the
+    forward ones to roundoff (``test_spectral.TestAdjointPairingDiagonal``).
+    Errors are relative to 2 pi sqrt(sum |c|^2 n) sqrt(sum |a|^2 n),
+    n = ||Z||_w^2 / w, which bounds every term of either form."""
+
+    @staticmethod
+    def scale(params, state, adj):
+        n = spectrum_table(params, state.N).norm2 / params.weight
+        return 2 * np.pi * np.sqrt(np.sum(np.abs(state.coeffs) ** 2 * n)
+                                   * np.sum(np.abs(adj.coeffs) ** 2 * n))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(PAIRING_PARAMS, st.integers(0, 16), st.integers(0, 2**32 - 1),
+           st.floats(-10.0, 10.0))
+    def test_pairing(self, params, N, seed, t):
+        rng = np.random.default_rng(seed)
+        state, adj = ModalState.random(N, rng), ModalState.random(N, rng)
+        scale = self.scale(params, state, adj)
+        p0 = bilinear_pairing(params, state, adj)
+        assert abs(p0 - fourier_pairing(params, state, adj)) <= 1e-13 * scale
+        # conserved by the mutually dual free flows
+        pt = bilinear_pairing(params, evolve(params, state, t),
+                              evolve(params, adj, t))
+        assert abs(pt - p0) <= 1e-13 * scale
+
+
+class TestReachableDefect:
+    @pytest.mark.parametrize("params", [GENERIC, RESONANT])
+    @pytest.mark.parametrize("N", [6, 16])
+    @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
+    def test_inverts_the_duality_map(self, params, N, mode):
+        x0, T = 0.9365, 1.2 * critical_time(params) or 1.0
+        system = assemble_lambda(params, N, x0, T, mode)
+        rng = np.random.default_rng(N)
+        seed = rng.standard_normal(len(system.matrix)) \
+            + 1j * rng.standard_normal(len(system.matrix))
+        defect = reachable_defect(params, N, x0, T, mode, seed, system)
+        rhs = system.matrix @ seed
+        assert np.max(np.abs(_duality_rhs(params, defect) - rhs)) \
+            <= 1e-14 * np.max(np.abs(rhs))
+        reference = solved_defect(params, N, rhs)
+        assert np.max(np.abs(defect.coeffs - reference)) \
+            <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestMemory:

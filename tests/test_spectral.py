@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggkdv.errors import GGKdVError
 from ggkdv.gram import ObservationWindow, observability_constants
@@ -202,6 +204,42 @@ class TestEigenvectors:
             scale = np.linalg.norm(fp) * np.linalg.norm(am)
             assert abs(np.dot(fp, am)) <= 1e-10 * scale
             assert abs(np.dot(fm, ap)) <= 1e-10 * scale
+
+
+class TestAdjointPairingDiagonal:
+    """The identity the duality map rests on: per mode, the 2x2 matrix
+    G[b, b'] = Zt^b . Z^b' is diagonal with G[b, b] = ||Z^b||_w^2 / w, since
+    v+ v- = -4acd; and z, zt and norm2 are bitwise even in k.
+
+    The draws stay in the band (a, c, d, r) in [0.1, 10]^4, where the
+    identity holds to roundoff.  Outside it ``_closed_forms`` loses v+ to
+    cancellation when 4acd << (c - 1 + r/k^2)^2, and the off-diagonal term
+    grows: to 1.3e-4 of the smaller diagonal entry at (1e-12, 3, 1, 1) and
+    to 1.0 of it at (1e-20, 2, 1, 1).
+    """
+
+    @staticmethod
+    def check(params, N):
+        t = spectrum_table(params, N)
+        gram = np.einsum("bkj,ckj->kbc", t.zt, t.z)
+        diag = np.einsum("kbb->kb", gram)
+        scale = np.sqrt(np.abs(diag[:, 0] * diag[:, 1]))
+        for off in (gram[:, 0, 1], gram[:, 1, 0]):
+            assert np.all(np.abs(off) <= 5e-14 * scale)
+        assert np.allclose(diag.T, t.norm2 / params.weight, rtol=2e-15, atol=0)
+        for arr in (t.z, t.zt, t.norm2):
+            assert np.array_equal(arr, arr[:, ::-1])
+
+    @pytest.mark.parametrize("params", [GENERIC, RESONANT])
+    @pytest.mark.parametrize("N", [0, 1, 6, 64])
+    def test_presets(self, params, N):
+        self.check(params, N)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.tuples(*[st.floats(0.1, 10.0)] * 4), st.integers(0, 64))
+    def test_random_params(self, acdr, N):
+        self.check(PhysicalParams(*acdr), N)
 
 
 class TestGapReport:
