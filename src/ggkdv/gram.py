@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import exp_kernel
-from .spectral import (PhysicalParams, _halves, mode_phases, spectrum_table,
-                       trace_amplitudes)
+from .spectral import (PhysicalParams, _from_real, mode_phases,
+                       spectrum_table, trace_amplitudes)
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -208,16 +208,10 @@ def _addition_kernel(op, w, sc, h: float):
 def _unfold(vecs_p, vecs_m, pick) -> np.ndarray:
     """``U blkdiag(V+, V-)[:, pick]``: the block eigenvectors ``pick``,
     numbered over [V+, V-], as complex vectors over [branch, k]."""
-    N, n_p, n = len(vecs_m) // 2, len(vecs_p), len(vecs_p) + len(vecs_m)
-    vp = vecs_p.reshape(2, N + 1, n_p)
-    vm = 1j * (vecs_m.reshape(2, N, 2 * N) * (1 / np.sqrt(2)))
-    vecs = np.zeros((n, n), dtype=complex)
-    at_k, at_minus_k = _halves(vecs)
-    # e_0 as is, u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2
-    vecs.reshape(2, 2 * N + 1, n)[:, N, :n_p] = vp[:, 0]
-    at_k[..., :n_p] = at_minus_k[..., :n_p] = vp[:, 1:] * (1 / np.sqrt(2))
-    at_k[..., n_p:], at_minus_k[..., n_p:] = vm, -vm
-    return vecs[:, pick]
+    n_p = len(vecs_p)
+    vecs = np.zeros((n_p + len(vecs_m),) * 2)
+    vecs[:n_p, :n_p], vecs[n_p:, n_p:] = vecs_p, vecs_m
+    return _from_real(vecs[:, pick])
 
 
 def _centred_kernel(delta, h: float):

@@ -22,8 +22,8 @@ from .gram import _parity_blocks, _unfold
 from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
                     h_norm, u_mean, v_mean)
 from .signals import ExponentialSignal, exp_kernel, total_l2_norm_sq
-from .spectral import (PhysicalParams, mode_phases, spectrum_table,
-                       trace_amplitudes)
+from .spectral import (PhysicalParams, _to_real, mode_phases,
+                       spectrum_table, trace_amplitudes)
 
 COND_LIMIT = 1e14
 # Largest accepted a-priori estimate eps * lambda_max * |s| / |rhs| of the
@@ -78,7 +78,7 @@ class HumSystem:
         if v is not None:
             # C+ v = 0 (equal or opposite k=0 columns); sigma, the mean of
             # the other eigenvalues, keeps the extremes and the complement
-            v = v.reshape(2, -1)[:, len(minus) // 2:].ravel()
+            v = _to_real(v)[:len(plus)].real
             sigma = (np.trace(plus) + np.trace(minus)) / (len(self.matrix) - 1)
             plus += sigma * np.outer(v, v)
         (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, (plus, minus))

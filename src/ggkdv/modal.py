@@ -182,7 +182,7 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
         return out
     amps, freqs, degrees = stack_terms([sig for sig, _ in channels])
     omega = table.omega.ravel()
-    integ = exp_kernel(freqs, -omega, 0.0, T, degrees, left=amps)
+    integ = amps @ exp_kernel(freqs, -omega, 0.0, T, degrees)
     base = np.exp(1j * omega * T) / (2 * np.pi * table.norm2.ravel())
     for (_, inp), row in zip(channels, integ):
         out.coeffs += (inp * base * row).reshape(2, -1)

@@ -8,10 +8,10 @@ so every time integral in the pipeline is ``integral t^m e^{i z t} dt``
 with m = d_j + d_k <= 2 and z a frequency sum or difference, moved off the
 real axis by 2 i w under an exponential weight e^{-2 w t}.  One
 array-valued kernel, ``exp_poly_integral``, evaluates it in closed form
-elementwise over broadcast arrays of (z, m).  ``exp_kernel`` lays it out as
-the outer-sum matrix K[i, j] behind inner products, Gram matrices, Duhamel
-steps and weighted Gramians, a bounded block of rows at a time, and
-contracts each block at once when only a product with K is needed.  The
+elementwise over broadcast arrays of (z, m).  ``exp_kernel`` returns it
+laid out as the outer-sum matrix K[i, j] behind inner products, Gram
+matrices, Duhamel steps and weighted Gramians, built a bounded block of
+rows at a time; each caller multiplies K by its own amplitudes.  The
 Hermitian forms (norms, control costs, unweighted Grams) have the kernel
 K[i, j] = I(z_i - z_j, m_i + m_j) of real frequencies, whose entries below
 the diagonal are the conjugates of those above; its Hermitian mode
@@ -88,9 +88,9 @@ def _series(w, m, t0, t1):
     return np.sum(np.cumprod(ratio, axis=-1) * ((t1**p - t0**p) / p), axis=-1)
 
 
-def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0, m_cols=0,
-               left=None) -> np.ndarray:
-    """``left @ K``, or K itself when ``left`` is None, for the matrix
+def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
+               m_cols=0) -> np.ndarray:
+    """The matrix
 
         K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
                                     m_rows[i] + m_cols[j], t0, t1),
@@ -101,17 +101,13 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0, m_cols=0,
                                     m_rows[i] + m_rows[j], t0, t1)
 
     (``m_cols`` unused).  K is built a block of rows at a time, each block
-    at most _BLOCK_ENTRIES entries (or one row), so a product never holds K
-    whole.  In the Hermitian mode the block of rows [s, e) is evaluated
-    only in the columns [s, n), e - s = _BLOCK_ENTRIES // (n - s) rows as
-    the columns shrink, and K below it is its conjugate transpose.  That
-    evaluates the upper triangle plus the lower triangles of the blocks'
-    diagonal squares: 0.56 n^2 at n = 258 (N = 64), against n^2, and all
-    of K when n^2 <= _BLOCK_ENTRIES.  ``left`` has shape
-    (..., len(z_rows)); a Hermitian block is contracted with it from both
-    sides.  The products use einsum, not matmul: they are small, and
-    handing them to a multithreaded BLAS left its threads in a state that
-    made later small eigen-solves up to twice as slow.
+    at most _BLOCK_ENTRIES entries (or one row), which bounds the
+    temporaries of the closed forms.  In the Hermitian mode the block of
+    rows [s, e) is evaluated only in the columns [s, n), e - s =
+    _BLOCK_ENTRIES // (n - s) rows as the columns shrink, and K below it
+    is its conjugate transpose.  That evaluates the upper triangle plus
+    the lower triangles of the blocks' diagonal squares: 0.56 n^2 at n =
+    258 (N = 64), against n^2, and all of K when n^2 <= _BLOCK_ENTRIES.
     """
     z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
     hermitian = z_cols is None
@@ -119,11 +115,7 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0, m_cols=0,
         z_cols, m_cols = -z_rows, m_rows
     z_cols, m_cols = np.asarray(z_cols), np.asarray(m_cols)
     n = len(z_cols)
-    if left is None:
-        out = np.empty((len(z_rows), n), dtype=complex)
-    else:
-        left = np.asarray(left, dtype=complex)
-        out = np.zeros(left.shape[:-1] + (n,), dtype=complex)
+    out = np.empty((len(z_rows), n), dtype=complex)
     start = 0
     while start < len(z_rows):
         first = start if hermitian else 0
@@ -131,20 +123,10 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0, m_cols=0,
         rows, cols = slice(start, stop), slice(first, None)
         m = m_rows if m_rows.ndim == 0 else m_rows[rows, None]
         mc = m_cols if m_cols.ndim == 0 else m_cols[cols]
-        block = exp_poly_integral(z_rows[rows, None] + z_cols[cols], m + mc,
-                                  t0, t1)
-        # Hermitian: block[:, mirror] holds K[rows, stop:], mirrored below
-        below, mirror = slice(stop, None), slice(stop - start, None)
-        if left is None:
-            out[rows, cols] = block
-            if hermitian:
-                out[below, rows] = block[:, mirror].conj().T
-        else:
-            out[..., cols] += np.einsum("...i,ij->...j", left[..., rows],
-                                        block)
-            if hermitian:
-                out[..., rows] += np.einsum("...j,ij->...i", left[..., below],
-                                            block[:, mirror].conj())
+        out[rows, cols] = exp_poly_integral(z_rows[rows, None] + z_cols[cols],
+                                            m + mc, t0, t1)
+        if hermitian:
+            out[stop:, rows] = out[rows, stop:].conj().T
         start = stop
     return out
 
@@ -190,9 +172,9 @@ class ExponentialSignal:
 
     def bilinear_integral(self, other: "ExponentialSignal", t0: float, t1: float) -> complex:
         """Unconjugated ``integral s(t) o(t) dt`` in closed form (directed)."""
-        a1, f1, d1 = stack_terms([self])
-        a2, f2, d2 = stack_terms([other])
-        return complex(exp_kernel(f1, f2, t0, t1, d1, d2, left=a1[0]) @ a2[0])
+        a1, f1, d1 = self._stacked
+        a2, f2, d2 = other._stacked
+        return complex(a1[0] @ exp_kernel(f1, f2, t0, t1, d1, d2) @ a2[0])
 
 
 def stack_terms(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,5 +199,5 @@ def total_l2_norm_sq(signals, t0: float, t1: float) -> float:
     """``sum_s integral_{t0}^{t1} |s(t)|^2 dt`` in closed form, from one
     Hermitian kernel over the union of the signals' terms."""
     amps, freqs, degrees = stack_terms(signals)
-    kernel_amps = exp_kernel(freqs, None, t0, t1, degrees, left=amps)
+    kernel_amps = amps @ exp_kernel(freqs, None, t0, t1, degrees)
     return float(np.real(np.sum(kernel_amps * np.conj(amps))))

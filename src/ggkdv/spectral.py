@@ -199,37 +199,33 @@ def mode_phases(table: SpectrumTable, x0: float,
 # and e_0 as is.  conj(U) = P U for the swap P: k <-> -k, so a matrix F
 # with P F P = conj(F) is real in this basis (the feedback Gramian and
 # generator), and a real F with P F P = F (the observation form) is block
-# diagonal there, one block over the u_k and e_0, one over the v_k.  U is
-# applied by index arithmetic over the (k, -k) pairs, never as a matrix.
-
-
-def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the entries of the modes k > 0 and of their partners -k,
-    both branches, along the leading axis n = 2(2N+1) of ``a``, ordered
-    as [branch, k+N]."""
-    N = (len(a) // 2 - 1) // 2
-    a = a.reshape(2, 2 * N + 1, *a.shape[1:])
-    return a[:, N + 1:], a[:, :N][:, ::-1]
+# diagonal there (``gram._parity_blocks``).  The real coordinates are laid
+# out as those blocks: first C+, [e_0, u_1 .. u_N] per branch (2(N+1)
+# entries), then C-, [v_1 .. v_N] per branch (2N entries).  U is applied by
+# index arithmetic over the (k, -k) pairs, never as a matrix.
 
 
 def _to_real(y: np.ndarray) -> np.ndarray:
-    """U^H y over the leading axis: u_k at the index of k, v_k at -k."""
-    z = np.array(y, dtype=complex, order="C")  # C order: _halves are views
-    p, m = _halves(y)
-    zp, zm = _halves(z)
-    zp[...] = (p + m) / np.sqrt(2)
-    zm[...] = (m - p) * (1j / np.sqrt(2))
-    return z
+    """U^H y over the leading axis n = 2(2N+1), ordered as [branch, k+N],
+    in the layout [C+, C-] above."""
+    y = np.asarray(y)
+    N, rest = (len(y) // 2 - 1) // 2, y.shape[1:]
+    y = y.reshape(2, 2 * N + 1, *rest)
+    p, m = y[:, N + 1:], y[:, :N][:, ::-1]
+    plus = np.concatenate([y[:, N:N + 1], (p + m) / np.sqrt(2)], axis=1)
+    minus = (m - p) * (1j / np.sqrt(2))
+    return np.concatenate([plus.reshape(-1, *rest), minus.reshape(-1, *rest)])
 
 
 def _from_real(z: np.ndarray) -> np.ndarray:
     """U z over the leading axis, the inverse of ``_to_real``."""
-    y = np.array(z, dtype=complex, order="C")
-    p, m = _halves(z)
-    yp, ym = _halves(y)
-    yp[...] = (p + 1j * m) / np.sqrt(2)
-    ym[...] = (p - 1j * m) / np.sqrt(2)
-    return y
+    z = np.asarray(z)
+    N, rest = (len(z) // 2 - 1) // 2, z.shape[1:]
+    plus = z[:2 * N + 2].reshape(2, N + 1, *rest)
+    p, im = plus[:, 1:], 1j * z[2 * N + 2:].reshape(2, N, *rest)
+    y = np.concatenate([((p - im) / np.sqrt(2))[:, ::-1], plus[:, :1],
+                        (p + im) / np.sqrt(2)], axis=1)
+    return y.reshape(len(z), *rest)
 
 
 @dataclass(frozen=True, eq=False)

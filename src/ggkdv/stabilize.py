@@ -12,8 +12,9 @@ verified by one eigendecomposition of its generator and a decay-rate fit.
 
 Everything after the Gramian runs in the real-field basis: per branch,
 u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2 for k > 0, and
-e_0 as is.  The swap P: k <-> -k sends omega to -omega and each input
-column e^{-ikx0} Z_k to its conjugate (Z_k is real and even in k), so
+e_0 as is, in the layout of ``spectral._to_real``: [e_0, u_k] over both
+branches, then [v_k].  The swap P: k <-> -k sends omega to -omega and each
+input column e^{-ikx0} Z_k to its conjugate (Z_k is real and even in k), so
 P B = conj(B), P Lambda_w P = conj(Lambda_w) and, for the closed-loop
 generator A, P A P = conj(A).  The basis U has conj(U) = P U, so U^H B,
 U^H Lambda_w U and U^H A U are real: the Gramian solve, the free part (a
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import GramianSingular
 from .modal import ModalState
 from .signals import exp_kernel
-from .spectral import (PhysicalParams, _from_real, _halves, _to_real,
+from .spectral import (PhysicalParams, _from_real, _to_real,
                        critical_time, resonance_check, spectrum_table,
                        trace_amplitudes)
 
@@ -42,11 +43,14 @@ SIM_STEPS = 400
 
 def _free_generator(omega: np.ndarray) -> np.ndarray:
     """U^H diag(i omega) U: a rotation block on each pair (u_k, v_k)."""
-    n = len(omega)
-    p, m = (half.ravel() for half in _halves(np.arange(n)))
+    n, N = len(omega), (len(omega) // 2 - 1) // 2
+    # u_k at C+[b, k], v_k at C-[b, k - 1]
+    p = np.arange(2 * N + 2).reshape(2, N + 1)[:, 1:].ravel()
+    m = np.arange(2 * N + 2, n)
+    w = omega.reshape(2, -1)[:, N + 1:].ravel()
     A = np.zeros((n, n))
-    A[m, p] = omega[p]
-    A[p, m] = -omega[p]
+    A[m, p] = w
+    A[p, m] = -w
     return A
 
 

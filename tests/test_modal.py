@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ggkdv.errors import AliasError
@@ -30,6 +32,11 @@ from ggkdv.spectral import (
 
 ONES = PRESETS["resonant"]
 GENERIC = PRESETS["generic"]
+EPS = np.finfo(float).eps
+# the presets and (a, c, d, r) in [0.1, 10]^4, as in test_hum's pairing fuzz
+FLOW_PARAMS = st.sampled_from([GENERIC, ONES]) | st.builds(
+    PhysicalParams, *[st.floats(0.1, 10.0)] * 4)
+FLOW_TIMES = st.floats(-10.0, 10.0)
 
 
 def ivp_forced_evolve(params, N, state0, f, g, x0, T):
@@ -128,13 +135,19 @@ class TestEvolve:
         want = np.exp(1j * (1 + math.sqrt(5)) / 2)
         assert out.coeffs[0, 3] == pytest.approx(want, abs=1e-14)
 
-    def test_group_property(self):
-        rng = np.random.default_rng(4)
-        s = ModalState.random(8, rng)
-        for t1, t2 in [(0.3, 0.9), (-1.2, 2.0)]:
-            a = evolve(GENERIC, evolve(GENERIC, s, t1), t2)
-            b = evolve(GENERIC, s, t1 + t2)
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * np.max(np.abs(s.coeffs))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(FLOW_PARAMS, st.integers(0, 16), st.integers(0, 2**32 - 1),
+           FLOW_TIMES, FLOW_TIMES)
+    def test_group_property(self, params, N, seed, t, s):
+        # the phases omega t carry an error of eps |omega t| each
+        state = ModalState.random(N, np.random.default_rng(seed))
+        a = evolve(params, evolve(params, state, t), s)
+        b = evolve(params, state, t + s)
+        omega = np.max(np.abs(spectrum_table(params, N).omega))
+        bound = 4 * EPS * (1 + omega * (abs(t) + abs(s)))
+        assert np.max(np.abs(a.coeffs - b.coeffs)) \
+            <= bound * np.max(np.abs(state.coeffs))
 
     def test_inverse(self):
         rng = np.random.default_rng(5)
@@ -142,12 +155,14 @@ class TestEvolve:
         back = evolve(GENERIC, evolve(GENERIC, s, 2.7), -2.7)
         assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-12 * np.max(np.abs(s.coeffs))
 
-    def test_energy_conservation(self):
-        rng = np.random.default_rng(6)
-        s = ModalState.random(8, rng)
-        e0 = energy(GENERIC, s)
-        for t in (0.1, 1.0, 10.0):
-            assert abs(energy(GENERIC, evolve(GENERIC, s, t)) - e0) <= 1e-12 * e0
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(FLOW_PARAMS, st.integers(0, 16), st.integers(0, 2**32 - 1),
+           FLOW_TIMES)
+    def test_energy_conservation(self, params, N, seed, t):
+        state = ModalState.random(N, np.random.default_rng(seed))
+        e0 = energy(params, state)
+        assert abs(energy(params, evolve(params, state, t)) - e0) <= 1e-14 * e0
 
 
 class TestEnergy:

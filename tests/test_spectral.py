@@ -11,6 +11,8 @@ from ggkdv.spectral import (
     PRESETS,
     Branch,
     PhysicalParams,
+    _from_real,
+    _to_real,
     critical_time,
     gap_report,
     resonance_check,
@@ -240,6 +242,53 @@ class TestAdjointPairingDiagonal:
     @given(st.tuples(*[st.floats(0.1, 10.0)] * 4), st.integers(0, 64))
     def test_random_params(self, acdr, N):
         self.check(PhysicalParams(*acdr), N)
+
+
+class TestRealFieldLayout:
+    """``_from_real`` applies U over the leading axis [branch, k+N], and
+    ``_to_real`` U^H; the real coordinates are the parity blocks' layout:
+    [e_0, u_1 .. u_N] per branch, then [v_1 .. v_N] per branch, with u_k =
+    (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2.  N = 0 leaves the
+    (k, -k) pairs and the v_k empty."""
+
+    @staticmethod
+    def basis(N):
+        """U built column by column from the definition."""
+        n, s = 2 * (2 * N + 1), 1 / math.sqrt(2)
+        U = np.zeros((n, n), dtype=complex)
+        for b in range(2):
+            def e(k):
+                return b * (2 * N + 1) + k + N
+            U[e(0), b * (N + 1)] = 1.0
+            for k in range(1, N + 1):
+                u, v = b * (N + 1) + k, 2 * (N + 1) + b * N + k - 1
+                U[[e(k), e(-k)], u] = s
+                U[[e(k), e(-k)], v] = 1j * s, -1j * s
+        return U
+
+    @pytest.mark.parametrize("N", [0, 1, 6])
+    def test_unit_vectors_land_at_documented_indices(self, N):
+        U = self.basis(N)
+        n = len(U)
+        assert np.max(np.abs(_from_real(np.eye(n)) - U)) <= 1e-16
+        assert np.max(np.abs(_to_real(np.eye(n)) - U.conj().T)) <= 1e-16
+
+    @pytest.mark.parametrize("N", [0, 1, 6])
+    def test_from_real_is_unitary(self, N):
+        n = 2 * (2 * N + 1)
+        U = _from_real(np.eye(n))
+        assert U.shape == (n, n)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-15
+
+    @pytest.mark.parametrize("N", [0, 1, 6])
+    def test_round_trip(self, N):
+        rng = np.random.default_rng(N)
+        n = 2 * (2 * N + 1)
+        for shape in ((n,), (n, 3)):
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            back = _from_real(_to_real(y))
+            assert back.shape == shape
+            assert np.max(np.abs(back - y)) <= 1e-15 * np.max(np.abs(y))
 
 
 class TestGapReport:
