@@ -53,10 +53,12 @@ _KEYS = {
     "preset": ("preset", None, None),
     "mode": ("mode", None, None),
     **dict.fromkeys(("initial", "target"), ("state", *_FINITE)),
-    **dict.fromkeys(("seed", "draws"), ("integer", 0, np.inf)),
+    "seed": ("integer", 0, np.inf),
     "N": ("integer", 0, _MAX_N),
     "ns": ("integer list", 0, _MAX_N),
-    **dict.fromkeys(("freq_min", "freq_max"), ("integer", -_MAX_N, _MAX_N)),
+    # each bound keeps a run to seconds: 10^4 draws, or 2049 frequencies
+    "draws": ("integer", 0, 10_000),
+    **dict.fromkeys(("freq_min", "freq_max"), ("integer", -1024, 1024)),
     "x0": ("number", -2 * np.pi, 2 * np.pi),
     **dict.fromkeys(("a", "c", "d", "r", "tol", "window_length", "T_sim"),
                     ("number", *_POSITIVE)),

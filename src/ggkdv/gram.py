@@ -113,7 +113,7 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     omega_j)]``, the rows and columns of k = 0 scaled by 1/sqrt2 in C+; the
     eigenvalues of C are those of the two blocks together.
     """
-    if mode not in ("both", "u_only", "v_only"):
+    if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
     table = spectrum_table(params, N)
     omega = table.omega.ravel()

@@ -136,8 +136,7 @@ class ControlPlan:
     g: ExponentialSignal | None
     x0: float
     T: float
-    adjoint_seed: np.ndarray   # seed coefficients xi over the adjoint labels
-    labels: tuple
+    adjoint_seed: np.ndarray   # seed coefficients xi over (branch, k)
     # a-priori estimate of the relative round-trip error of the solve
     error_estimate: float | None = None
 
@@ -248,8 +247,7 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     used = (mode != "g_only", mode != "f_only")
     f, g = (ExponentialSignal.from_terms(zip(row, -system.omega, [0] * len(s)))
             if use else None for row, use in zip(rows, used))
-    return ControlPlan(f, g, x0, T, np.conj(s),
-                       spectrum_table(params, N).labels, est)
+    return ControlPlan(f, g, x0, T, np.conj(s), est)
 
 
 def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,

@@ -12,9 +12,9 @@ elementwise over broadcast arrays of (z, m).  ``exp_kernel`` returns it
 laid out as the outer-sum matrix K[i, j] behind inner products, Gram
 matrices, Duhamel steps and weighted Gramians, built a bounded block of
 rows at a time; each caller multiplies K by its own amplitudes.  The
-Hermitian forms (norms, control costs, unweighted Grams) have the kernel
-K[i, j] = I(z_i - z_j, m_i + m_j) of real frequencies, whose entries below
-the diagonal are the conjugates of those above; its Hermitian mode
+Hermitian forms (norms, control costs, Grams and the weighted Gramian)
+have the kernel K[i, j] = I(z_i - conj(z_j), m_i + m_j), whose entries
+below the diagonal are the conjugates of those above; its Hermitian mode
 evaluates each block only on and above the diagonal.  Near resonance
 |z| -> 0 the closed forms cancel catastrophically; there the kernel
 switches to a power series that is exact in the limit.
@@ -95,9 +95,9 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
         K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
                                     m_rows[i] + m_cols[j], t0, t1),
 
-    or, when ``z_cols`` is None, the Hermitian matrix of real frequencies
+    or, when ``z_cols`` is None, the Hermitian matrix
 
-        K[i, j] = exp_poly_integral(z_rows[i] - z_rows[j],
+        K[i, j] = exp_poly_integral(z_rows[i] - conj(z_rows[j]),
                                     m_rows[i] + m_rows[j], t0, t1)
 
     (``m_cols`` unused).  K is built a block of rows at a time, each block
@@ -111,9 +111,8 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
     """
     z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
     hermitian = z_cols is None
-    if hermitian:
-        z_cols, m_cols = -z_rows, m_rows
-    z_cols, m_cols = np.asarray(z_cols), np.asarray(m_cols)
+    z_cols, m_cols = ((-np.conj(z_rows), m_rows) if hermitian
+                      else (np.asarray(z_cols), np.asarray(m_cols)))
     n = len(z_cols)
     out = np.empty((len(z_rows), n), dtype=complex)
     start = 0

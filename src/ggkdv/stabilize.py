@@ -6,9 +6,9 @@ feedback ``K = -B^H Lambda_w^{-1}`` built from the weighted Gramian
 
     Lambda_w = integral_0^{Th} e^{-2 w s} e^{-sA} B B^H e^{-s A^H} ds,
 
-whose entries are again closed-form exponential integrals (the weight
-shifts every frequency difference by 2 i w).  The closed loop is then
-verified by one eigendecomposition of its generator and a decay-rate fit.
+whose entries are closed-form exponential integrals: the real weight shifts
+each frequency difference by 2 i w and keeps Lambda_w Hermitian.  One eig
+of the closed-loop generator and a decay-rate fit then verify the loop.
 
 Everything after the Gramian runs in the real-field basis: per branch,
 u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2 for k > 0, and
@@ -84,11 +84,11 @@ def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
     # w = (1, ac/d)
     inputs = (np.conj(trace_amplitudes(params, N, x0))
               * [[1.0], [params.weight]] / scale)
-    # entry (m, j) integrates e^{i (omega_j - omega_m + 2 i w) s}, times
-    # sum_c inputs[c, m] conj(inputs[c, j]), whose diagonal is not exactly
-    # real
+    # entry (m, j) integrates e^{i (z_m - conj(z_j)) s} at z = i w - omega,
+    # Hermitian as the weight is real, times sum_c inputs[c, m]
+    # conj(inputs[c, j]), whose diagonal is not exactly real
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = exp_kernel(2j * omega_target - omega, omega, 0.0, Th)
+        lam = exp_kernel(1j * omega_target - omega, None, 0.0, Th)
         lam *= sum(np.outer(a, np.conj(a)) for a in inputs)
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"rate {omega_target:g} and horizon Th={Th:g} "

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,10 @@ from hypothesis import strategies as st
 from ggkdv import cli
 from ggkdv.errors import GGKdVError
 from ggkdv.cli import main
+
+# child processes import ggkdv from this checkout, however pytest found it
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
 
 def run_cli(tmp_path, name, *args, config=None):
@@ -102,7 +107,7 @@ class TestControl:
         proc = subprocess.run(
             [sys.executable, "-m", "ggkdv.cli", "control", "--quiet",
              "--config", str(cfg), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert (tmp_path / "plan.json").exists()
@@ -125,6 +130,12 @@ class TestIngham:
         assert length == 1e300
         assert direct == pytest.approx(length, rel=1e-12)
         assert inverse == pytest.approx(length, rel=1e-12)
+
+    def test_range_bound_is_inclusive(self, tmp_path):
+        assert run_cli(tmp_path, "ingham",
+                       config={"freq_min": 1024, "freq_max": 1024}) == 0
+        rows = (tmp_path / "ingham.csv").read_text().splitlines()
+        assert rows[1].split(",")[0] == "1"
 
 
 class TestStabilize:
@@ -216,6 +227,10 @@ class TestErrors:
         ("resonance", {"tol": 10**400}),
         ("control", {"T": 10**400}),
         ("observe", {"window_length": 10**400}),
+        # inputs that size a run, past their bounds
+        ("duality", {"draws": 10001}),
+        ("ingham", {"freq_max": 1025}),
+        ("ingham", {"freq_min": -1025}),
     ])
     def test_invalid_value_exit_4(self, tmp_path, capsys, command, cfg):
         assert run_cli(tmp_path, command,
@@ -372,7 +387,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "ggkdv.cli", "gaps", "--preset", "generic",
              "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         summary = json.loads((tmp_path / "gaps_summary.json").read_text())
         assert summary["A_const"] == pytest.approx(1 + math.sqrt(2))
@@ -451,6 +466,12 @@ class TestContractFuzz:
     @example(("stabilize", {"preset": "resonant", "N": 32,
                             "omega_target": 1.0,
                             "initial": [[1.4e152, 0.0]] * 130}))
+    # the bounds on the inputs that size a run
+    @example(("duality", {"preset": "generic", "draws": 10001}))
+    @example(("ingham", {"preset": "generic", "freq_max": 1025}))
+    @example(("ingham", {"preset": "generic", "freq_min": -1025}))
+    @example(("ingham", {"preset": "generic", "freq_min": 1024,
+                         "freq_max": 1024}))
     # falsy values that are not lists
     @example(("observe", {"preset": "generic", "ns": 0}))
     @example(("observe", {"preset": "generic", "ns": {}}))

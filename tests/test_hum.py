@@ -454,7 +454,7 @@ class TestVerifyRoundtrip:
         N, T = 4, 1.0
         initial = unit_energy_state(GENERIC, N, rng)
         from ggkdv.hum import ControlPlan
-        plan = ControlPlan(None, None, 0.0, T, np.zeros(2 * (2 * N + 1)), [])
+        plan = ControlPlan(None, None, 0.0, T, np.zeros(2 * (2 * N + 1)))
         target = evolve(GENERIC, initial, T)
         assert verify_roundtrip(GENERIC, N, plan, initial, target) <= 1e-12
 
@@ -466,8 +466,7 @@ class TestVerifyRoundtrip:
         amp, freq, deg = plan.f.terms[0]
         bad_f = ExponentialSignal((( amp * 1.01, freq, deg),) + plan.f.terms[1:])
         from ggkdv.hum import ControlPlan
-        bad = ControlPlan(bad_f, plan.g, plan.x0, plan.T, plan.adjoint_seed,
-                          plan.labels)
+        bad = ControlPlan(bad_f, plan.g, plan.x0, plan.T, plan.adjoint_seed)
         assert verify_roundtrip(GENERIC, N, bad, initial, ModalState.zeros(N)) > 1e-6
 
     @pytest.mark.parametrize("x0", [1e10, 1e14, 1e17, 2e307])

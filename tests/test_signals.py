@@ -202,8 +202,8 @@ class TestExpKernel:
 
 class TestHermitianKernel:
     """``exp_kernel(z, None, ...)``: K[i, j] = integral t^(m_i + m_j)
-    e^{i (z_i - z_j) t} over a window off the origin, built on and above
-    the diagonal a block of rows at a time."""
+    e^{i (z_i - conj(z_j)) t} over a window off the origin, built on and
+    above the diagonal a block of rows at a time."""
 
     T0, T1 = 0.4, 2.1
 
@@ -225,6 +225,18 @@ class TestHermitianKernel:
         K = exp_kernel(z, -z, self.T0, self.T1, m, m)
         eps = np.finfo(float).eps
         assert np.all(np.abs(H - K) <= eps * np.abs(K))
+        assert np.array_equal(H, H.conj().T)
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 1e-9])
+    def test_complex_frequencies_pair_with_conjugates(self, alpha):
+        # K[i, j] = I(z_i - conj(z_j)): the weighted Gramian's kernel at
+        # z = i w - omega; at alpha = 1e-9 the diagonal and the close pairs
+        # take the series branch
+        z, m = self.family(300)
+        z = z + 1j * alpha
+        H = exp_kernel(z, None, self.T0, self.T1, m)
+        K = exp_kernel(z, -np.conj(z), self.T0, self.T1, m, m)
+        assert np.array_equal(H, K)
         assert np.array_equal(H, H.conj().T)
 
     def test_evaluates_about_half_the_entries(self, monkeypatch):
