@@ -14,9 +14,8 @@ from .gram import (ObservationWindow, divided_difference_constants,
 from .hum import (ControlPlan, HumSystem, assemble_lambda, bilinear_pairing,
                   control_cost, duality_residual, reachable_defect,
                   solve_control, verify_roundtrip)
-from .modal import (GridFunction, ModalState, adjoint_trace, energy, evolve,
-                    forced_evolve, h_norm, project, reconstruct, trace,
-                    u_mean, v_mean)
+from .modal import (GridFunction, ModalState, energy, evolve, forced_evolve,
+                    h_norm, project, reconstruct, trace, u_mean, v_mean)
 from .signals import ExponentialSignal, exp_poly_integral
 from .spectral import (PRESETS, Branch, GapReport, PhysicalParams,
                        SpectrumTable, critical_time, gap_report,

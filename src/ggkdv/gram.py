@@ -6,17 +6,17 @@ are their extreme generalized eigenvalues against the (diagonal) energy
 form.  The observation point and the window's centre enter those forms
 only through a diagonal of phases, so the constants are the eigenvalues
 of one real symmetric matrix and do not depend on the observation point.
-That matrix commutes with the swap k <-> -k (the frequencies are odd in
-k, the amplitudes even), so it is solved as two real parity blocks of
-half the size, built over the modes k >= 0 and never assembled whole.
-Their kernel entries 2 sin(x h) / x, at every frequency difference and
-sum x, come by the addition formula from one sine and cosine per
-frequency, not one sine per entry.  ``divided_difference_constants``
-gives the Riesz bounds of the merged frequency family, whose
-cross-branch members cluster in pairs, in the Newton divided-difference
-coordinates of the single-trace proof: the Gram of the exponentials,
-mapped to them by difference rows and columns in O(n^2).  In practice
-that Gram is no better conditioned than the plain one.
+That matrix commutes with the swap k <-> -k (the frequencies are odd in k,
+the amplitudes even), so it is solved as two real parity blocks over the
+modes k >= 0, never assembled whole; ``_block_eigh`` gives their
+eigenvectors, and factors ``hum``'s control operator too.  Their kernel
+entries 2 sin(x h) / x, at every frequency difference and sum x, come by the
+addition formula from one sine and cosine per frequency, not one sine per
+entry.  ``divided_difference_constants`` gives the Riesz bounds of the
+merged frequency family, whose cross-branch members cluster in pairs, in the
+Newton divided-difference coordinates of the single-trace proof: the Gram of
+the exponentials, mapped to them by difference rows and columns in O(n^2).
+In practice that Gram is no better conditioned than the plain one.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ class ObservabilityReport:
         w = _structural_kernel(self.rows, self.omega)
         if w.shape[1] == self.kernel_dim:
             return self.lift[:, None] * w
-        (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, self.blocks)
-        pick = np.argsort(np.r_[vals_p, vals_m], kind="stable")[:self.kernel_dim]
-        return self.lift[:, None] * _unfold(vecs_p, vecs_m, pick)
+        vecs = _block_eigh(*self.blocks)[1][:, :self.kernel_dim]
+        return self.lift[:, None] * _from_real(vecs)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -205,13 +204,16 @@ def _addition_kernel(op, w, sc, h: float):
     return num
 
 
-def _unfold(vecs_p, vecs_m, pick) -> np.ndarray:
-    """``U blkdiag(V+, V-)[:, pick]``: the block eigenvectors ``pick``,
-    numbered over [V+, V-], as complex vectors over [branch, k]."""
-    n_p = len(vecs_p)
-    vecs = np.zeros((n_p + len(vecs_m),) * 2)
-    vecs[:n_p, :n_p], vecs[n_p:, n_p:] = vecs_p, vecs_m
-    return _from_real(vecs[:, pick])
+def _block_eigh(plus, minus) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of blkdiag(C+, C-) and, in their order, its real
+    eigenvectors blkdiag(V+, V-) in the layout of ``spectral._to_real``, one
+    array with each vector a contiguous column."""
+    (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, (plus, minus))
+    vals, n_p = np.r_[vals_p, vals_m], len(vals_p)
+    order = np.argsort(vals, kind="stable")
+    vecs, rank = np.zeros((len(vals),) * 2, order="F"), np.argsort(order)
+    vecs[:n_p, rank[:n_p]], vecs[n_p:, rank[n_p:]] = vecs_p, vecs_m
+    return vals[order], vecs
 
 
 def _centred_kernel(delta, h: float):

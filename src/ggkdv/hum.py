@@ -6,7 +6,7 @@ Steering between arbitrary states reduces to a null-control solve of the
 defect ``initial - free-backward-evolved target`` against that matrix;
 controls come out as exponential sums built from the adjoint solution.
 Up to a diagonal of phases the matrix is the real observation form, so the
-solves use the eigenvectors of its two parity blocks from ``gram``.
+solves use observe's eigensolve of its two parity blocks, ``gram._block_eigh``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintViolation, IllConditioned
-from .gram import _parity_blocks, _unfold
-from .modal import (ModalState, adjoint_trace, energy, evolve, forced_evolve,
-                    h_norm, u_mean, v_mean)
+from .gram import _block_eigh, _parity_blocks
+from .modal import (ModalState, energy, evolve, forced_evolve, h_norm, trace,
+                    u_mean, v_mean)
 from .signals import ExponentialSignal, exp_kernel, total_l2_norm_sq
-from .spectral import (PhysicalParams, _to_real, mode_phases,
+from .spectral import (PhysicalParams, _from_real, _to_real, mode_phases,
                        spectrum_table, trace_amplitudes)
 
 COND_LIMIT = 1e14
@@ -52,7 +52,10 @@ class HumSystem:
     constraint: np.ndarray | None  # v: unit kernel direction, single modes
     rows: np.ndarray           # observed adjoint amplitudes at x0 = 0, real
     omega: np.ndarray          # frequencies over (branch, k)
+    params: PhysicalParams     # the problem it was assembled for: params,
+    x0: float                  # x0, T, mode and N, by the size of matrix
     T: float
+    mode: str
 
     def eigvals(self) -> np.ndarray:
         """Eigenvalues of ``matrix`` (read-only): in single modes, the
@@ -81,14 +84,12 @@ class HumSystem:
             v = _to_real(v)[:len(plus)].real
             sigma = (np.trace(plus) + np.trace(minus)) / (len(self.matrix) - 1)
             plus += sigma * np.outer(v, v)
-        (vals_p, vecs_p), (vals_m, vecs_m) = map(np.linalg.eigh, (plus, minus))
-        vals = np.r_[vals_p, vals_m]
-        order = np.argsort(vals, kind="stable")
-        vals = _read_only(vals[order])
+        vals, vecs = _block_eigh(plus, minus)
+        vals = _read_only(vals)
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
         if cond > COND_LIMIT:
             return vals, cond, None, None
-        W = self.phases[:, None] * _unfold(vecs_p, vecs_m, order)
+        W = self.phases[:, None] * _from_real(vecs)
         return vals, cond, W, self.matrix.astype(np.clongdouble)
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
@@ -174,7 +175,16 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         v = np.zeros(len(omega))
         sign = -1.0 if mode == "f_only" else 1.0
         v[[N, 3 * N + 1]] = np.array([1.0, sign]) / np.sqrt(2)
-    return HumSystem(lam, phases, v, rows, omega, T)
+    return HumSystem(lam, phases, v, rows, omega, params, x0, T, mode)
+
+
+def _checked(system: HumSystem | None, params, N, x0, T, mode) -> HumSystem:
+    """``system`` (new if None); ValueError if built for another problem."""
+    if system is not None and (
+            system.params, len(system.matrix), system.x0, system.T,
+            system.mode) != (params, 2 * (2 * N + 1), x0, T, mode):
+        raise ValueError("system was assembled for another problem")
+    return assemble_lambda(params, N, x0, T, mode) if system is None else system
 
 
 def _duality_rhs(params: PhysicalParams, state: ModalState) -> np.ndarray:
@@ -195,11 +205,11 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     """Controls steering ``initial`` to ``target`` over [0, T].
 
     Reduces to null control of the defect against the trace Gram.  Single
-    control modes require matching conserved means and solve on the
-    orthogonal complement of the structural kernel direction.  Raises
-    IllConditioned when the solved operator's condition number exceeds
-    COND_LIMIT, or when the estimated relative round-trip error of the
-    solve, ``eps * lambda_max * |s| / |rhs|``, exceeds ERROR_EST_LIMIT.
+    control modes require equal conserved means and solve on the complement
+    of the structural kernel direction.  Raises ValueError for a ``system``
+    assembled for another problem, IllConditioned when the solved operator's
+    condition number exceeds COND_LIMIT or the estimated relative round-trip
+    error of the solve, ``eps * lambda_max * |s| / |rhs|``, ERROR_EST_LIMIT.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = h_norm(params, initial), h_norm(params, target)
@@ -215,8 +225,7 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
             raise ConstraintViolation(
                 "f-only control requires equal v-means of initial and target")
 
-    if system is None:
-        system = assemble_lambda(params, N, x0, T, mode)
+    system = _checked(system, params, N, x0, T, mode)
     defect = initial - evolve(params, target, -T)
     rhs = _duality_rhs(params, defect)
     if not np.all(np.isfinite(rhs)):
@@ -262,10 +271,9 @@ def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
     frequencies, where generic data would need controls of size 1/alpha.
     The result automatically satisfies the conserved-mean constraint of
     single-control modes because the Gram range excludes the structural
-    kernel direction.
+    kernel direction.  A ``system`` for another problem raises ValueError.
     """
-    if system is None:
-        system = assemble_lambda(params, N, x0, T, mode)
+    system = _checked(system, params, N, x0, T, mode)
     rhs = system.matrix @ np.asarray(seed_coeffs, dtype=complex)
     table = spectrum_table(params, N)
     weights = 2 * np.pi * table.norm2 / params.weight
@@ -308,7 +316,7 @@ def duality_residual(params: PhysicalParams, N: int,
         final = forced_evolve(params, N, initial, f, g, x0, T)
         adj_final = evolve(params, adjoint_seed, T)
         lhs = bilinear_pairing(params, final, adj_final)
-        phi_sig, psi_sig = adjoint_trace(params, adjoint_seed, x0)
+        phi_sig, psi_sig = trace(params, adjoint_seed, x0, adjoint=True)
         rhs = bilinear_pairing(params, initial, adjoint_seed)
         if f:
             rhs += f.bilinear_integral(phi_sig, 0.0, T)

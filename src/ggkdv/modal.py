@@ -138,24 +138,15 @@ def v_mean(params: PhysicalParams, state: ModalState) -> complex:
     return _mean(params, state, 1)
 
 
-def _traces(params: PhysicalParams, state: ModalState, x0: float,
-            adjoint: bool):
-    """The two pointwise traces as exponential sums; terms with coinciding
-    frequencies (the k=0 pair) merge by amplitude addition."""
+def trace(params: PhysicalParams, state: ModalState, x0: float,
+          adjoint: bool = False):
+    """Pointwise traces (u(., x0), v(., x0)), or (phi(., x0), psi(., x0)) of
+    an adjoint-basis state when ``adjoint``, as exponential sums; the terms
+    of the k=0 pair's coinciding frequencies merge by amplitude addition."""
     amps = trace_amplitudes(params, state.N, x0, adjoint) * state.coeffs.ravel()
     omega = spectrum_table(params, state.N).omega.ravel()
     return tuple(ExponentialSignal.from_terms(
         (amp, freq, 0) for amp, freq in zip(row, omega)) for row in amps)
-
-
-def trace(params: PhysicalParams, state: ModalState, x0: float):
-    """Pointwise traces (u(., x0), v(., x0)) as exponential sums."""
-    return _traces(params, state, x0, adjoint=False)
-
-
-def adjoint_trace(params: PhysicalParams, state: ModalState, x0: float):
-    """Traces of an adjoint-basis state: (phi(., x0), psi(., x0))."""
-    return _traces(params, state, x0, adjoint=True)
 
 
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,

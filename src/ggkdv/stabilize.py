@@ -124,12 +124,11 @@ def feedback_gains(params: PhysicalParams, N: int, x0: float,
                          _free_generator(omega) + B_r @ K_r)
 
 
-def zero_gains(params: PhysicalParams, N: int,
-               omega_target: float = 0.0) -> FeedbackGains:
+def zero_gains(params: PhysicalParams, N: int) -> FeedbackGains:
     """Open-loop reference: zero feedback, conservative dynamics."""
     omega = spectrum_table(params, N).omega.ravel()
     F_row, G_row = np.zeros((2, len(omega)), dtype=complex)
-    return FeedbackGains(omega_target, F_row, G_row, _free_generator(omega))
+    return FeedbackGains(0.0, F_row, G_row, _free_generator(omega))
 
 
 @dataclass(eq=False)

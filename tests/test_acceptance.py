@@ -19,12 +19,12 @@ from ggkdv.hum import (
 )
 from ggkdv.modal import (
     ModalState,
-    adjoint_trace,
     energy,
     evolve,
     forced_evolve,
     h_norm,
     reconstruct,
+    trace,
     u_mean,
     v_mean,
 )
@@ -146,7 +146,7 @@ def test_criterion_04_duality_identity():
               rng.uniform(-5, 5), 0) for _ in range(3)])
         final = forced_evolve(GENERIC, N, initial, f, g, x0, T)
         lhs = bilinear_pairing(GENERIC, final, evolve(GENERIC, seed, T))
-        phi, psi = adjoint_trace(GENERIC, seed, x0)
+        phi, psi = trace(GENERIC, seed, x0, adjoint=True)
         base = bilinear_pairing(GENERIC, initial, seed)
         rhs_closed = (base + f.bilinear_integral(phi, 0.0, T)
                       + g.bilinear_integral(psi, 0.0, T))
@@ -276,7 +276,7 @@ def test_criterion_09_stabilization():
         assert absc <= -0.9 * w
         assert rep.fitted_decay_rate >= 0.9 * w
         msgs.append(f"w={w}: abscissa {absc:.3f}, rate {rep.fitted_decay_rate:.3f}")
-    free = closed_loop_simulate(GENERIC, N, zero_gains(GENERIC, N, 0.0),
+    free = closed_loop_simulate(GENERIC, N, zero_gains(GENERIC, N),
                                 state, T_sim=20.0)
     drift = np.max(np.abs(free.energies - free.energies[0])) / free.energies[0]
     assert drift <= 1e-10

@@ -23,11 +23,11 @@ from ggkdv.hum import (
 )
 from ggkdv.modal import (
     ModalState,
-    adjoint_trace,
     energy,
     evolve,
     forced_evolve,
     h_norm,
+    trace,
     u_mean,
     v_mean,
 )
@@ -81,7 +81,7 @@ class TestAssembleLambda:
         s = rng.standard_normal(2 * (2 * N + 1)) + 1j * rng.standard_normal(2 * (2 * N + 1))
         form = float(np.real(np.vdot(s, system.matrix @ s)))
         xi = ModalState(N, np.conj(s).reshape(2, 2 * N + 1))
-        phi, psi = adjoint_trace(GENERIC, xi, x0)
+        phi, psi = trace(GENERIC, xi, x0, adjoint=True)
         closed = phi.l2_norm_sq(0.0, T) + psi.l2_norm_sq(0.0, T)
         assert form == pytest.approx(closed, rel=1e-10)
         numeric = quad_integral(
@@ -244,7 +244,7 @@ class TestSolveControl:
         initial = unit_energy_state(GENERIC, N, rng)
         plan = solve_control(GENERIC, N, x0, T, initial, ModalState.zeros(N))
         xi = ModalState(N, plan.adjoint_seed.reshape(2, 2 * N + 1))
-        phi, psi = adjoint_trace(GENERIC, xi, x0)
+        phi, psi = trace(GENERIC, xi, x0, adjoint=True)
         t = np.linspace(0, T, 40)
         scale = max(1.0, np.max(np.abs(plan.f.evaluate(t))))
         assert np.max(np.abs(plan.f.evaluate(t) + np.conj(phi.evaluate(t)))) <= 1e-10 * scale
@@ -357,6 +357,24 @@ class TestSolveControl:
             if i == 0:
                 assert shapes == [(2 * (N + 1),) * 2, (2 * N,) * 2]
         assert len(shapes) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("params", RESONANT), ("N", 5), ("x0", 0.5), ("T", 2.0),
+        ("mode", "both")])
+    def test_system_for_another_problem_rejected(self, field, value):
+        # a prebuilt system used for other data would give a wrong control
+        # (a "both" system on f_only data misses by 0.3-0.6 in round trip),
+        # a spurious IllConditioned or a matmul error: both entry points
+        # compare its params, N, x0, T and mode exactly
+        problem = dict(params=GENERIC, N=6, x0=0.0, T=1.0, mode="f_only")
+        system = assemble_lambda(*problem.values())
+        problem[field] = value
+        params, N, x0, T, mode = problem.values()
+        zero, seed = ModalState.zeros(N), np.ones(2 * (2 * N + 1))
+        with pytest.raises(ValueError, match="another problem"):
+            solve_control(params, N, x0, T, zero, zero, mode, system=system)
+        with pytest.raises(ValueError, match="another problem"):
+            reachable_defect(params, N, x0, T, mode, seed, system=system)
 
     @pytest.mark.parametrize("preset, T, most", [
         # without the stagnation stop the generic solve ran all 6
@@ -538,7 +556,7 @@ class TestDuality:
              for _ in range(2)])
         final = forced_evolve(GENERIC, N, initial, f, None, x0, T)
         lhs = bilinear_pairing(GENERIC, final, evolve(GENERIC, seed, T))
-        phi, _ = adjoint_trace(GENERIC, seed, x0)
+        phi, _ = trace(GENERIC, seed, x0, adjoint=True)
         work = quad_integral(lambda t: f.evaluate(t) * phi.evaluate(t), 0.0, T)
         rhs = bilinear_pairing(GENERIC, initial, seed) + work
         scale = max(abs(lhs), abs(rhs), energy(GENERIC, initial),
@@ -641,3 +659,87 @@ class TestMemory:
                 assert peak <= 2 * 2**20
         finally:
             tracemalloc.stop()
+
+
+def mp_hum_operator(mp, params, N, x0, T, channels):
+    """``(Lambda, weights)`` at the working precision of ``mp``: the HUM
+    operator ``sum_c a_c a_c^H * integral_0^T e^{i(omega_i - omega_j)t} dt``
+    from the closed-form frequencies and adjoint trace amplitudes a_c =
+    Zt[c] e^{ikx0} evaluated there, and the weights 2 pi ||Z||_w^2 / w of
+    the duality map, both over (branch, k)."""
+    a, c, d, r = (mp.mpf(p) for p in (params.a, params.c, params.d,
+                                      params.r))
+    w, T = a * c / d, mp.mpf(T)
+    omega, amps, weights = [], [], []
+    for sign in (1, -1):
+        for k in range(-N, N + 1):
+            root = k * mp.sqrt(4 * a * c * d * k**4 + ((c - 1) * k**2 + r) ** 2)
+            omega.append(((c + 1) * k**3 - r * k + sign * root) / (2 * c))
+            if k == 0:
+                v = sign * mp.sqrt(4 * a * c * d)
+            else:
+                rk2 = r / k**2
+                v = 1 - c - rk2 + sign * mp.sqrt(4 * a * c * d
+                                                 + (c - 1 + rk2) ** 2)
+            phase = mp.expj(k * mp.mpf(x0))
+            amps.append([(2 * d, v)[ch] * phase for ch in channels])
+            weights.append(2 * mp.pi * ((2 * a * c) ** 2 + w * v**2) / w)
+    n = len(omega)
+    lam = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            delta = omega[i] - omega[j]
+            K = T if delta == 0 else (mp.expj(delta * T) - 1) / (1j * delta)
+            lam[i, j] = K * mp.fsum(x * mp.conj(y)
+                                    for x, y in zip(amps[i], amps[j]))
+    return lam, weights
+
+
+def to_numpy(m):
+    return np.array(m.tolist(), dtype=complex)
+
+
+class TestMpmathReference:
+    """Lambda, the solved seed and the control cost against a 40-digit
+    reference built from (a, c, d, r) in mpmath, with ``mp.lu_solve`` for
+    ``Lambda s = rhs`` and the cost ``s^H Lambda s``.  Measured: Lambda
+    within 4.7e-15 of its largest diagonal entry (resonant N=4, f_only);
+    the seed within 2.2e-11 of its largest entry at generic N=4 (condition
+    number 1.25e6) and 2.3e-15 at resonant N=4 (3.4); the cost within
+    3.9e-11 and 3.8e-16 relative."""
+
+    CASES = [("generic", 2, 1.0), ("generic", 4, 1.0),
+             ("resonant", 2, 1.2 * critical_time(RESONANT)),
+             ("resonant", 4, 1.2 * critical_time(RESONANT))]
+    # (seed, cost) bounds per preset, a few times the measured errors
+    BOUNDS = {"generic": (1e-10, 2e-10), "resonant": (1e-14, 2e-15)}
+
+    @pytest.mark.parametrize("mode", ["both", "f_only"])
+    @pytest.mark.parametrize("preset, N, T", CASES)
+    def test_lambda(self, preset, N, T, mode):
+        mp = pytest.importorskip("mpmath")
+        x0, params = 0.9365, PRESETS[preset]
+        with mp.workdps(40):
+            ref = to_numpy(mp_hum_operator(
+                mp, params, N, x0, T, [0, 1] if mode == "both" else [0])[0])
+        lam = assemble_lambda(params, N, x0, T, mode).matrix
+        assert np.max(np.abs(lam - ref)) <= 2e-14 * np.max(np.abs(np.diag(ref)))
+
+    @pytest.mark.parametrize("preset, N, T", CASES)
+    def test_seed_and_cost(self, preset, N, T):
+        mp = pytest.importorskip("mpmath")
+        x0, params = 0.9365, PRESETS[preset]
+        initial = unit_energy_state(params, N, np.random.default_rng(N))
+        plan = solve_control(params, N, x0, T, initial, ModalState.zeros(N))
+        with mp.workdps(40):
+            lam, weights = mp_hum_operator(mp, params, N, x0, T, [0, 1])
+            # the duality map of the defect: initial, with k reversed
+            coeffs = initial.coeffs[:, ::-1].ravel()
+            rhs = mp.matrix([wt * mp.mpc(cf) for wt, cf in zip(weights, coeffs)])
+            s = mp.lu_solve(lam, rhs)
+            cost = float(mp.re((s.H * lam * s)[0, 0]))
+            s = to_numpy(s).ravel()
+        seed_tol, cost_tol = self.BOUNDS[preset]
+        assert np.max(np.abs(np.conj(plan.adjoint_seed) - s)) \
+            <= seed_tol * np.max(np.abs(s))
+        assert abs(control_cost(plan) - cost) <= cost_tol * cost

@@ -10,7 +10,6 @@ from ggkdv.errors import AliasError
 from ggkdv.modal import (
     GridFunction,
     ModalState,
-    adjoint_trace,
     energy,
     evolve,
     forced_evolve,
@@ -343,7 +342,7 @@ class TestAdjoint:
         s = ModalState.zeros(2)
         s.coeffs[1, 1 + 2] = 2.0
         x0 = 0.3
-        phi, psi = adjoint_trace(GENERIC, s, x0)
+        phi, psi = trace(GENERIC, s, x0, adjoint=True)
         table = spectrum_table(GENERIC, 2)
         amp, freq, _ = phi.terms[0]
         assert amp == pytest.approx(2.0 * table.zt[1, 3, 0] * np.exp(1j * x0))

@@ -113,7 +113,7 @@ class TestClosedLoopSimulate:
     def test_zero_gains_conserve_energy(self):
         rng = np.random.default_rng(3)
         state = unit_energy_state(GENERIC, 6, rng)
-        gains = zero_gains(GENERIC, 6, 0.0)
+        gains = zero_gains(GENERIC, 6)
         rep = closed_loop_simulate(GENERIC, 6, gains, state, T_sim=20.0)
         assert abs(rep.abscissa) <= 1e-10
         drift = np.max(np.abs(rep.energies - rep.energies[0]))
@@ -187,7 +187,7 @@ class TestClosedLoopSimulate:
         assert rep.fitted_decay_rate == -slope / 2
 
     def test_positive_horizon_required(self):
-        gains = zero_gains(GENERIC, 3, 0.0)
+        gains = zero_gains(GENERIC, 3)
         with pytest.raises(ValueError):
             closed_loop_simulate(GENERIC, 3, gains, ModalState.zeros(3), 0.0)
 
