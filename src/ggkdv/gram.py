@@ -11,12 +11,13 @@ the amplitudes even), so it is solved as two real parity blocks over the
 modes k >= 0, never assembled whole; ``_block_eigh`` gives their
 eigenvectors, and factors ``hum``'s control operator too.  Their kernel
 entries 2 sin(x h) / x, at every frequency difference and sum x, come by the
-addition formula from one sine and cosine per frequency, not one sine per
-entry.  ``divided_difference_constants`` gives the Riesz bounds of the
-merged frequency family, whose cross-branch members cluster in pairs, in the
-Newton divided-difference coordinates of the single-trace proof: the Gram of
-the exponentials, mapped to them by difference rows and columns in O(n^2).
-In practice that Gram is no better conditioned than the plain one.
+addition formula from one exact phase per frequency (``signals._phase``,
+which ``exp_kernel`` shares), not one sine per entry.
+``divided_difference_constants`` gives the Riesz bounds of the merged
+frequency family, whose cross-branch members cluster in pairs, in the Newton
+divided-difference coordinates of the single-trace proof: the Gram of the
+exponentials, mapped to them by difference rows and columns in O(n^2).  In
+practice that Gram is no better conditioned than the plain one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EpsilonUnderflow
-from .signals import exp_kernel
+from .signals import _phase, exp_kernel
 from .spectral import (PhysicalParams, _from_real, mode_phases,
                        spectrum_table, trace_amplitudes)
 
@@ -170,27 +171,15 @@ def _parity_kernels(w, h: float) -> tuple[np.ndarray, np.ndarray]:
 
     Both come from the sines and cosines of the n phases w h by the
     addition formula, ``K(w_i -+ w_j) = 2 (s_i c_j -+ c_i s_j) / (w_i -+
-    w_j)``, so no sine is taken per entry.  Each phase is the exact sum
-    w h = p + e of Dekker's two-product over Veltkamp's split, and its
-    ``c + i s = e^{ip} e^{ie}`` is right to an ulp at any |w h|.  Where
+    w_j)``, so no sine is taken per entry.  Each ``c + i s`` is the exact
+    phase ``signals._phase``, right to an ulp at any |w h|.  Where
     |w_i -+ w_j| h < 1 the formula cancels, and ``_centred_kernel`` is
     taken instead (this includes a zero sum or difference at any h)."""
-    p = w * h
-    w_hi, w_lo = _split(w)
-    h_hi, h_lo = _split(h)
-    e = ((w_hi * h_hi - p) + w_hi * h_lo + w_lo * h_hi) + w_lo * h_lo
-    cis = np.exp(1j * p) * np.exp(1j * e)
+    cis = _phase(w, h)
     # 2 s_i c_j; its transpose holds 2 c_i s_j
     sc = np.multiply.outer(2 * cis.imag, cis.real)
     diff = _addition_kernel(np.subtract, w, sc, h)
     return diff, _addition_kernel(np.add, w, sc, h)
-
-
-def _split(x):
-    """Veltkamp's split x = hi + lo, each half of the mantissa."""
-    t = 134217729.0 * x  # 2^27 + 1
-    hi = t - (t - x)
-    return hi, x - hi
 
 
 def _addition_kernel(op, w, sc, h: float):

@@ -108,18 +108,20 @@ class HumSystem:
         against the complex Lambda over [0, T] (the closed forms
         ``forced_evolve`` shares), so the refinement converges even when the
         condition number approaches 1/eps (windows near the critical time).
-        At most 6 corrections; it stops after one below 1e-16 |x|, or after
-        one above half the previous: the corrections have then reached the
-        rounding noise of the solve and no longer shrink."""
+        At most 6 corrections; it stops after one at most max(1e-16, cond
+        eps_ld) |x|, the rounding noise of the residual in long double
+        (eps_ld), or after one above half the previous: the corrections
+        have then reached the rounding noise and no longer shrink."""
         b_hi = b.astype(np.clongdouble)
         x = self._solve(b).astype(np.clongdouble)
+        noise = max(1e-16, self._factor[1] * np.finfo(np.longdouble).eps)
         last = np.inf
         for _ in range(6):
             r = b_hi - self._factor[3] @ x
             corr = self._solve(r.astype(complex))
             size = np.linalg.norm(corr)
             x = x + corr
-            if size <= 1e-16 * np.linalg.norm(x.astype(complex)) \
+            if size <= noise * np.linalg.norm(x.astype(complex)) \
                     or size > last / 2:
                 break
             last = size

@@ -6,18 +6,16 @@ Traces, controls and Gram entries all live in the class
 
 so every time integral in the pipeline is ``integral t^m e^{i z t} dt``
 with m = d_j + d_k <= 2 and z a frequency sum or difference, moved off the
-real axis by 2 i w under an exponential weight e^{-2 w t}.  One
-array-valued kernel, ``exp_poly_integral``, evaluates it in closed form
-elementwise over broadcast arrays of (z, m).  ``exp_kernel`` returns it
-laid out as the outer-sum matrix K[i, j] behind inner products, Gram
-matrices, Duhamel steps and weighted Gramians, built a bounded block of
-rows at a time; each caller multiplies K by its own amplitudes.  The
-Hermitian forms (norms, control costs, Grams and the weighted Gramian)
-have the kernel K[i, j] = I(z_i - conj(z_j), m_i + m_j), whose entries
-below the diagonal are the conjugates of those above; its Hermitian mode
-evaluates each block only on and above the diagonal.  Near resonance
-|z| -> 0 the closed forms cancel catastrophically; there the kernel
-switches to a power series that is exact in the limit.
+real axis by 2 i w under an exponential weight e^{-2 w t}.  ``exp_kernel``
+lays it out as the outer-sum matrix K[i, j] behind inner products, Grams,
+Duhamel steps and weighted Gramians, which each caller multiplies by its
+amplitudes; ``exp_poly_integral`` takes it elementwise.  No exponential is
+taken per entry: e^{i(z_i + z_j)t} is the product of the factors e^{i z t}
+of the two frequencies, whose phases are exact at any |z t| (``_phase``,
+shared with ``gram``).  The Hermitian forms (norms, control costs, Grams
+and the weighted Gramian) have the kernel K[i, j] = I(z_i - conj(z_j),
+m_i + m_j), evaluated only on and above the diagonal.  Near resonance
+|z| -> 0 the closed forms cancel; there a power series is used.
 """
 
 from __future__ import annotations
@@ -31,45 +29,32 @@ import numpy as np
 # digits to cancellation and the series expansion is used instead.
 _SERIES_THRESHOLD = 0.5
 _SERIES_TERMS = 40
-# Entries of K that exp_kernel builds at once, in whole rows: bounds its
-# temporaries to a few arrays of this size (15 rows at N=64).
-_BLOCK_ENTRIES = 4096
+# Entries of K that exp_kernel builds at once, in whole rows (29 at N=64):
+# its complex temporaries stay under 128 KiB, above which malloc maps (and
+# faults in) fresh pages for each.
+_BLOCK_ENTRIES = 7680
 
 
 def exp_poly_integral(z, m, t0: float, t1: float):
     """Exact ``integral_{t0}^{t1} t^m e^{i z t} dt`` for complex z and
-    integer m >= 0, elementwise over the broadcast of ``z`` and ``m``.
-
-    Uses the antiderivative e^{wt} q_m(t) / w with w = i z, q_0 = 1 and
-    q_m(t) = t^m - m q_{m-1}(t) / w, switching to a power series in w where
-    |w| * t_scale is small (this covers w = 0 exactly).  Scalar inputs
-    return a Python complex.
+    integer m >= 0, elementwise over the broadcast of ``z`` and ``m``
+    (``exp_kernel`` with one zero column).  Scalar inputs return a Python
+    complex.
     """
     z, m = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                np.asarray(m, dtype=int))
-    w = 1j * z
-    t_scale = max(abs(t0), abs(t1), 1.0)
-    series = np.abs(w) * t_scale <= _SERIES_THRESHOLD
-    if series.all():
-        out = _series(w, m, t0, t1)
-    elif series.any():
-        # w = i keeps the closed form finite where the series takes over,
-        # at any horizon: |e^{it}| = 1
-        out = _closed_form(np.where(series, 1j, w), m, t0, t1)
-        out[series] = _series(w[series], m[series], t0, t1)
-    else:
-        out = _closed_form(w, m, t0, t1)
+    out = exp_kernel(z.ravel(), [0.0], t0, t1, m.ravel()).reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 
 
-def _closed_form(w, m, t0, t1):
+def _closed_form(w, m, t0, t1, e0, e1):
+    # (e1 q_m(t1) - e0 q_m(t0)) / w for e0, e1 = e^{w t0}, e^{w t1}
     q1 = q0 = 1.0
     for j in range(1, int(m.max(initial=0)) + 1):
         step = m >= j
         q1 = np.where(step, t1**j - j * q1 / w, q1)
         q0 = np.where(step, t0**j - j * q0 / w, q0)
-    e0 = 1.0 if t0 == 0 else np.exp(w * t0)
-    return (np.exp(w * t1) * q1 - e0 * q0) / w
+    return (e1 * q1 - e0 * q0) / w
 
 
 def _series(w, m, t0, t1):
@@ -88,46 +73,100 @@ def _series(w, m, t0, t1):
     return np.sum(np.cumprod(ratio, axis=-1) * ((t1**p - t0**p) / p), axis=-1)
 
 
+def _phase(w, t: float):
+    """e^{i w t} for real w, right to an ulp at any |w t| and odd in w bit
+    for bit: w t = p + e exactly, by Dekker's two-product over Veltkamp's
+    split, and e^{i w t} = e^{ip} e^{ie}."""
+    p = w * t
+    (w_hi, w_lo), (t_hi, t_lo) = _split(w), _split(t)
+    e = ((w_hi * t_hi - p) + w_hi * t_lo + w_lo * t_hi) + w_lo * t_lo
+    return np.exp(1j * p) * np.exp(1j * e)
+
+
+def _split(x):
+    """Veltkamp's split x = hi + lo, each half of the mantissa."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _factors(z, t0: float, t1: float) -> np.ndarray:
+    """Rows Re z, Im z and the cos and sin parts of e^{i z t} = e^{i Re(z) t}
+    e^{-Im(z) t} at t1 and, unless t0 = 0, at t0."""
+    rows = [z.real, z.imag]
+    for t in (t1,) if t0 == 0 else (t1, t0):
+        decay = np.exp(-z.imag * t) if np.iscomplexobj(z) else 1.0
+        cis = _phase(z.real, t) * decay
+        rows += [cis.real, cis.imag]
+    return np.array(rows)
+
+
 def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
                m_cols=0) -> np.ndarray:
-    """The matrix
-
-        K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
-                                    m_rows[i] + m_cols[j], t0, t1),
-
-    or, when ``z_cols`` is None, the Hermitian matrix
-
-        K[i, j] = exp_poly_integral(z_rows[i] - conj(z_rows[j]),
-                                    m_rows[i] + m_rows[j], t0, t1)
-
-    (``m_cols`` unused).  K is built a block of rows at a time, each block
-    at most _BLOCK_ENTRIES entries (or one row), which bounds the
-    temporaries of the closed forms.  In the Hermitian mode the block of
-    rows [s, e) is evaluated only in the columns [s, n), e - s =
-    _BLOCK_ENTRIES // (n - s) rows as the columns shrink, and K below it
-    is its conjugate transpose.  That evaluates the upper triangle plus
-    the lower triangles of the blocks' diagonal squares: 0.56 n^2 at n =
-    258 (N = 64), against n^2, and all of K when n^2 <= _BLOCK_ENTRIES.
+    """The matrix K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
+    m_rows[i] + m_cols[j], t0, t1) or, when ``z_cols`` is None, the
+    Hermitian K[i, j] = exp_poly_integral(z_rows[i] - conj(z_rows[j]),
+    m_rows[i] + m_rows[j], t0, t1) (``m_cols`` unused).  No exponential is
+    taken per entry: ``_integrals`` builds e^{i(z_i + z_j)t} from the exact
+    phases and decays of each frequency by real products, not complex ones
+    (which may fuse a multiply-add), so K[j, i] = conj K[i, j] and, for
+    frequencies odd under a swap P of rows and columns, K[P, P] = conj K,
+    bit for bit.  K is built a block of rows at a time, each block at most
+    _BLOCK_ENTRIES entries (or one row), which bounds the temporaries.  In
+    the Hermitian mode the block of rows [s, e) is evaluated only in the
+    columns [s, n), e - s = _BLOCK_ENTRIES // (n - s) rows as the columns
+    shrink, and K below it is its conjugate transpose: the upper triangle
+    plus the lower triangles of the blocks' diagonal squares, 0.59 n^2 at
+    n = 258 (N = 64), and all of K when n^2 <= _BLOCK_ENTRIES.
     """
     z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
     hermitian = z_cols is None
     z_cols, m_cols = ((-np.conj(z_rows), m_rows) if hermitian
                       else (np.asarray(z_cols), np.asarray(m_cols)))
     n = len(z_cols)
+    f = _factors(np.concatenate([z_rows, z_cols]), t0, t1)
+    f_rows, f_cols = f[:, :len(z_rows)], f[:, len(z_rows):]
     out = np.empty((len(z_rows), n), dtype=complex)
     start = 0
     while start < len(z_rows):
         first = start if hermitian else 0
         stop = start + max(1, _BLOCK_ENTRIES // max(1, n - first))
         rows, cols = slice(start, stop), slice(first, None)
-        m = m_rows if m_rows.ndim == 0 else m_rows[rows, None]
-        mc = m_cols if m_cols.ndim == 0 else m_cols[cols]
-        out[rows, cols] = exp_poly_integral(z_rows[rows, None] + z_cols[cols],
-                                            m + mc, t0, t1)
+        m = ((m_rows if m_rows.ndim == 0 else m_rows[rows, None])
+             + (m_cols if m_cols.ndim == 0 else m_cols[cols]))
+        _integrals(out[rows, cols], f_rows[:, rows, None],
+                   f_cols[:, None, cols], m, t0, t1)
         if hermitian:
             out[stop:, rows] = out[rows, stop:].conj().T
         start = stop
     return out
+
+
+def _integrals(out, r, c, m, t0: float, t1: float) -> None:
+    """Writes to ``out`` the integrals at z = z_r + z_c, broadcast, and the
+    degrees m from the ``_factors`` r of z_r and c of z_c: cos = c_r c_c -
+    s_r s_c and sin = s_r c_c + c_r s_c at each end.  For real z and m = 0
+    that is ``((sin1 - sin0) + i (cos0 - cos1)) / z``."""
+    x = r[0] + c[0]
+    if r[1].any() or c[1].any():
+        x = x + 1j * (r[1] + c[1])
+    series = np.abs(x) <= _SERIES_THRESHOLD / max(abs(t0), abs(t1), 1.0)
+    near = x[series]
+    # x = 1 keeps the closed forms finite where the series takes over
+    x[series] = 1
+    cos = r[2::2] * c[2::2]
+    cos -= r[3::2] * c[3::2]
+    sin = r[3::2] * c[2::2]
+    sin += r[2::2] * c[3::2]
+    (c1, c0), (s1, s0) = (cos, sin) if t0 else ((cos[0], 1.0), (sin[0], 0.0))
+    if np.iscomplexobj(x) or m.any():
+        out[...] = _closed_form(1j * x, m, t0, t1, c0 + 1j * s0, c1 + 1j * s1)
+    else:
+        np.divide(s1 - s0 if t0 else s1, x, out=out.real)
+        np.divide(np.subtract(c0, c1, out=c1), x, out=out.imag)
+    if near.size:
+        out[series] = _series(1j * near, np.broadcast_to(m, x.shape)[series],
+                              t0, t1)
 
 
 @dataclass(frozen=True)

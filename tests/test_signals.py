@@ -9,6 +9,9 @@ from ggkdv.signals import (
     exp_poly_integral,
     total_l2_norm_sq,
 )
+from ggkdv.spectral import PRESETS, critical_time, spectrum_table
+
+T0 = critical_time(PRESETS["resonant"])
 
 
 def quad_integral(func, t0, t1):
@@ -241,13 +244,13 @@ class TestHermitianKernel:
 
     def test_evaluates_about_half_the_entries(self, monkeypatch):
         count = [0]
-        kernel = signals.exp_poly_integral
+        block = signals._integrals
 
-        def counted(z, m, t0, t1):
-            count[0] += np.size(z)
-            return kernel(z, m, t0, t1)
+        def counted(out, *args):
+            count[0] += out.size
+            return block(out, *args)
 
-        monkeypatch.setattr(signals, "exp_poly_integral", counted)
+        monkeypatch.setattr(signals, "_integrals", counted)
         n = 258   # the control operator's size at N = 64
         z, m = self.family(n)
         exp_kernel(z, -z, self.T0, self.T1, m, m)
@@ -255,3 +258,61 @@ class TestHermitianKernel:
         count[0] = 0
         exp_kernel(z, None, self.T0, self.T1, m)
         assert count[0] <= 0.6 * n * n
+
+
+class TestLargePhases:
+    """Entries whose phase x T exceeds 1e5 rad, against 40-digit mpmath.
+    A phase rounded as (z_i + z_j) T is off by about eps |x T|, which costs
+    such entries up to about 4e-7 relative."""
+
+    @staticmethod
+    def sampled_errors(zr, zc, t1, K, rng, count=200):
+        mp = pytest.importorskip("mpmath")
+        far = np.argwhere(np.abs(np.add.outer(zr.real, zc.real)) * t1 > 1e5)
+        assert len(far) >= count
+        errors = []
+        with mp.workdps(40):
+            T = mp.mpf(t1)
+            for i, j in far[rng.choice(len(far), count, replace=False)]:
+                x = (mp.mpc(zr[i].real, np.imag(zr[i]))
+                     + mp.mpc(zc[j].real, np.imag(zc[j])))
+                want = (mp.expj(x * T) - 1) / (1j * x)
+                errors.append(float(abs(K[i, j] - want) / abs(want)))
+        return np.array(errors)
+
+    def test_control_operator_and_duhamel_kernels(self):
+        rng = np.random.default_rng(28)
+        omega = spectrum_table(PRESETS["resonant"], 64).omega.ravel()
+        T = 1.2 * T0
+        freqs = np.unique(-omega)  # a control's frequencies
+        for zr, zc, K in ((omega, -omega, exp_kernel(omega, None, 0.0, T)),
+                          (freqs, -omega, exp_kernel(freqs, -omega, 0.0, T))):
+            assert np.max(self.sampled_errors(zr, zc, T, K, rng)) <= 1e-13
+
+    @pytest.mark.parametrize("rate", [0.01, 0.5])
+    def test_weighted_gramian_kernel(self, rate):
+        rng = np.random.default_rng(29)
+        omega = spectrum_table(PRESETS["resonant"], 32).omega.ravel()
+        z, Th = 1j * rate - omega, 1.5 * T0
+        K = exp_kernel(z, None, 0.0, Th)
+        errors = self.sampled_errors(z, -np.conj(z), Th, K, rng)
+        assert np.max(errors) <= 1e-13
+
+
+class TestKernelSymmetries:
+    """Bit for bit: the Hermitian kernel equals its conjugate transpose
+    and, over the odd spectra, its conjugate under the swap P: k <-> -k.
+    Fused products break the second by an ulp."""
+
+    @pytest.mark.parametrize("N", [6, 16, 64])
+    @pytest.mark.parametrize("preset", ["generic", "resonant"])
+    def test_hermitian_and_swap(self, preset, N):
+        omega = spectrum_table(PRESETS[preset], N).omega
+        assert np.array_equal(omega[:, ::-1], -omega)
+        swap = np.arange(omega.size).reshape(omega.shape)[:, ::-1].ravel()
+        omega = omega.ravel()
+        T = 1.0 if preset == "generic" else 1.2 * T0
+        for K in (exp_kernel(omega, None, 0.0, T),
+                  exp_kernel(1j * 0.5 - omega, None, 0.0, 2.0)):
+            assert np.array_equal(K, K.conj().T)
+            assert np.array_equal(K[np.ix_(swap, swap)], K.conj())
