@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EpsilonUnderflow
 from .signals import _phase, exp_kernel
-from .spectral import (PhysicalParams, _from_real, mode_phases,
-                       spectrum_table, trace_amplitudes)
+from .spectral import (PhysicalParams, SpectrumTable, _from_real,
+                       mode_phases, spectrum_table, trace_amplitudes)
 
 KERNEL_REL_TOL = 1e-14
 COINCIDENT_TOL = 1e-12
@@ -58,16 +58,17 @@ class ObservationWindow:
 class ObservabilityReport:
     """Constants of the folded form C = S R S, and what ``kernel_vectors``
     is built from on first read: the observed real amplitude rows Z S, the
-    frequencies, the parity blocks (C+, C-) and the lift D^H S to states."""
+    parity blocks (C+, C-), and the table, x0 and window centre t_c."""
 
     alpha: float
     beta: float
     kernel_dim: int
     eigenvalues: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
-    omega: np.ndarray = field(repr=False)
     blocks: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    lift: np.ndarray = field(repr=False)
+    table: SpectrumTable = field(repr=False)
+    x0: float
+    t_c: float
 
     @cached_property
     def kernel_vectors(self) -> np.ndarray:
@@ -80,11 +81,12 @@ class ObservabilityReport:
         smallest eigenvalues taken instead, from the two blocks lifted by U
         (the eigenvectors of a tiny cluster mix with adjacent
         almost-unobservable directions)."""
-        w = _structural_kernel(self.rows, self.omega)
-        if w.shape[1] == self.kernel_dim:
-            return self.lift[:, None] * w
-        vecs = _block_eigh(*self.blocks)[1][:, :self.kernel_dim]
-        return self.lift[:, None] * _from_real(vecs)
+        w = _structural_kernel(self.rows, self.table.omega.ravel())
+        if w.shape[1] != self.kernel_dim:
+            w = _from_real(_block_eigh(*self.blocks)[1][:, :self.kernel_dim])
+        lift = (np.conj(mode_phases(self.table, self.x0, self.t_c)).ravel()
+                * (1.0 / np.sqrt((2 * np.pi * self.table.norm2).ravel())))
+        return (lift[:, None] * w).astype(complex)
 
 
 def observability_constants(params: PhysicalParams, N: int, x0: float,
@@ -116,19 +118,17 @@ def observability_constants(params: PhysicalParams, N: int, x0: float,
     if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
     table = spectrum_table(params, N)
-    omega = table.omega.ravel()
     norm = 1.0 / np.sqrt((2 * np.pi * table.norm2).ravel())
     h = window.length / 2
     # the amplitudes are real at x0 = 0
     rows = trace_amplitudes(params, N, 0.0).real[_CHANNELS[mode]] * norm
-    blocks = _parity_blocks(rows, omega, h)
+    blocks = _parity_blocks(rows, table.omega.ravel(), h)
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     beta = float(vals[-1])
     kernel_dim = int(np.sum(vals <= KERNEL_REL_TOL * beta))
     alpha = float(max(vals[0], 0.0))
-    lift = np.conj(mode_phases(table, x0, window.t0 + h)).ravel() * norm
-    return ObservabilityReport(alpha, beta, kernel_dim, vals, rows, omega,
-                               blocks, lift)
+    return ObservabilityReport(alpha, beta, kernel_dim, vals, rows, blocks,
+                               table, x0, window.t0 + h)
 
 
 def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:

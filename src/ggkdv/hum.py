@@ -1,12 +1,12 @@
 """Duality-based control synthesis in adjoint eigen-coordinates.
 
-The control operator is assembled as the Gram matrix of the adjoint
-pointwise traces, so every entry is a closed-form exponential integral.
+The control operator is the Gram matrix of the adjoint pointwise traces.
 Steering between arbitrary states reduces to a null-control solve of the
-defect ``initial - free-backward-evolved target`` against that matrix;
-controls come out as exponential sums built from the adjoint solution.
-Up to a diagonal of phases the matrix is the real observation form, so the
-solves use observe's eigensolve of its two parity blocks, ``gram._block_eigh``.
+defect ``initial - free-backward-evolved target`` against it; controls
+come out as exponential sums built from the adjoint solution.  Up to a
+diagonal of phases the operator is the real observation form, so it is
+built only as observe's two parity blocks, in closed form, and solved by
+their eigensolve, ``gram._block_eigh``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConstraintViolation, IllConditioned
 from .gram import _block_eigh, _parity_blocks
 from .modal import (ModalState, energy, evolve, forced_evolve, h_norm, trace,
                     u_mean, v_mean)
-from .signals import ExponentialSignal, exp_kernel, total_l2_norm_sq
+from .signals import ExponentialSignal, total_l2_norm_sq
 from .spectral import (PhysicalParams, _from_real, _to_real, mode_phases,
                        spectrum_table, trace_amplitudes)
 
@@ -37,34 +37,36 @@ _CHANNELS = {"both": [0, 1], "f_only": [0], "g_only": [1]}
 
 @dataclass(eq=False)
 class HumSystem:
-    """The control operator in adjoint eigen-coordinates.
+    """The control operator in adjoint eigen-coordinates, held only as the
+    parity blocks of its real form.
 
-    x0 and the horizon's centre enter ``matrix`` only through the phases
-    ``D = diag(e^{i(k x0 + omega T/2)})``: ``Lambda = D R D^H``, R the real
-    form of the amplitude ``rows`` over [-T/2, T/2], whose parity blocks
-    (``gram._parity_blocks``) are solved, C+ completed along the unit kernel
-    direction v of single modes to ``C+ + sigma v v^T``.  Their eigenvalues
-    and, below COND_LIMIT, ``W = D U blkdiag(V+, V-)`` are computed once.
-    """
+    x0 and the horizon's centre enter it only through the phases ``D =
+    diag(e^{i(k x0 + omega T/2)})`` (``spectral.mode_phases``): ``Lambda =
+    D U blkdiag(C+, C-) U^H D^H``, U the real-field basis and (C+, C-) the
+    blocks (``gram._parity_blocks``) of the real form of the observed
+    adjoint amplitudes at x0 = 0 over [-T/2, T/2].  The solves complete C+
+    along the unit kernel direction v of single modes to ``C+ + sigma v
+    v^T``, whose eigenvalues and, below COND_LIMIT, eigenvectors ``V =
+    blkdiag(V+, V-)`` are computed once."""
 
-    matrix: np.ndarray         # Hermitian PSD
-    phases: np.ndarray         # the diagonal of D
+    blocks: tuple[np.ndarray, np.ndarray]  # (C+, C-), long double copies
+    phases: np.ndarray         # the diagonal of D, in long double
     constraint: np.ndarray | None  # v: unit kernel direction, single modes
-    rows: np.ndarray           # observed adjoint amplitudes at x0 = 0, real
-    omega: np.ndarray          # frequencies over (branch, k)
-    params: PhysicalParams     # the problem it was assembled for: params,
-    x0: float                  # x0, T, mode and N, by the size of matrix
+    params: PhysicalParams     # the problem it was assembled for
+    N: int
+    x0: float
     T: float
     mode: str
 
     def eigvals(self) -> np.ndarray:
-        """Eigenvalues of ``matrix`` (read-only): in single modes, the
+        """Eigenvalues of the operator (read-only): in single modes, the
         completion's with its eigenvalue sigma, their mean, set to 0."""
         vals = self._factor[0]
-        if self.constraint is None:
-            return vals
-        at_sigma = np.argmin(np.abs(vals - np.mean(vals)))
-        return _read_only(np.sort(np.r_[0.0, np.delete(vals, at_sigma)]))
+        if self.constraint is not None:
+            at_sigma = np.argmin(np.abs(vals - np.mean(vals)))
+            vals = np.sort(np.r_[0.0, np.delete(vals, at_sigma)])
+            vals.flags.writeable = False
+        return vals
 
     def condition_number(self) -> float:
         """Condition number of the operator solved: on the complement of
@@ -73,64 +75,57 @@ class HumSystem:
 
     @cached_property
     def _factor(self) -> tuple:
-        """(vals, cond, W, matrix_hi): the completed blocks' ascending
-        eigenvalues, their condition number, W (columns in their order) and
-        Lambda in extended precision, the last two None above COND_LIMIT."""
-        plus, minus = _parity_blocks(self.rows, self.omega, self.T / 2)
+        """(vals, cond, V, v): the completed blocks' ascending eigenvalues,
+        their condition number, V (columns in their order; None above
+        COND_LIMIT) and v in the real layout."""
+        plus, minus = (b.astype(float) for b in self.blocks)
         v = self.constraint
         if v is not None:
             # C+ v = 0 (equal or opposite k=0 columns); sigma, the mean of
             # the other eigenvalues, keeps the extremes and the complement
-            v = _to_real(v)[:len(plus)].real
-            sigma = (np.trace(plus) + np.trace(minus)) / (len(self.matrix) - 1)
-            plus += sigma * np.outer(v, v)
+            v = _to_real(v).real
+            sigma = (np.trace(plus) + np.trace(minus)) / (len(v) - 1)
+            plus = plus + sigma * np.outer(v[:len(plus)], v[:len(plus)])
         vals, vecs = _block_eigh(plus, minus)
-        vals = _read_only(vals)
+        vals.flags.writeable = False
         cond = np.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
-        if cond > COND_LIMIT:
-            return vals, cond, None, None
-        W = self.phases[:, None] * _from_real(vecs)
-        return vals, cond, W, self.matrix.astype(np.clongdouble)
+        return vals, cond, None if cond > COND_LIMIT else vecs, v
 
-    def _reduce(self, x: np.ndarray) -> np.ndarray:
-        """x without its D v component; D is 1 at k=0, so D v = v."""
-        v = self.constraint
-        return x if v is None else x - v * (v @ x)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """blkdiag(C+, C-) x in long double (np.dot: matmul is slower)."""
+        plus, minus = self.blocks
+        return np.concatenate([np.dot(plus, x[:len(plus)]),
+                               np.dot(minus, x[len(plus):])])
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """``W (W^H b / vals)`` on the complement of D v."""
-        vals, _, W, _ = self._factor
-        return W @ (np.conj(np.conj(self._reduce(b)) @ W) / vals)
+        """``V (V^T b / vals)`` on the complement of v, in the real layout."""
+        vals, _, V, v = self._factor
+        b = b if v is None else b - np.multiply.outer(v, v @ b)
+        return V @ ((V.T @ b) / vals[:, None])
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve of ``Lambda s = b`` on the complement of D v, refined in
-        mixed precision: corrections from W, residuals in extended precision
-        against the complex Lambda over [0, T] (the closed forms
-        ``forced_evolve`` shares), so the refinement converges even when the
-        condition number approaches 1/eps (windows near the critical time).
-        At most 6 corrections; it stops after one at most max(1e-16, cond
-        eps_ld) |x|, the rounding noise of the residual in long double
-        (eps_ld), or after one above half the previous: the corrections
-        have then reached the rounding noise and no longer shrink."""
-        b_hi = b.astype(np.clongdouble)
-        x = self._solve(b).astype(np.clongdouble)
+        """Solve of ``Lambda s = b`` on the complement of D v = v (D is 1 at
+        k=0): ``y = U^H D^H b`` as real and imaginary columns, solved by V
+        and refined with residuals in long double against the blocks, so it
+        converges even at a condition number near 1/eps; then s = D U x.  D
+        and U act in long double.  At most 6 corrections; it stops after one
+        at most max(1e-16, cond eps_ld) |x|, the rounding noise of the
+        residual in long double, or after one above half the previous."""
+        y = _to_real(np.conj(self.phases) * b)
+        y = np.stack([y.real, y.imag], axis=1)
+        x = self._solve(y.astype(float)).astype(np.longdouble)
         noise = max(1e-16, self._factor[1] * np.finfo(np.longdouble).eps)
         last = np.inf
         for _ in range(6):
-            r = b_hi - self._factor[3] @ x
-            corr = self._solve(r.astype(complex))
+            corr = self._solve((y - self._apply(x)).astype(float))
             size = np.linalg.norm(corr)
             x = x + corr
-            if size <= noise * np.linalg.norm(x.astype(complex)) \
+            if size <= noise * np.linalg.norm(x.astype(float)) \
                     or size > last / 2:
                 break
             last = size
-        return x.astype(complex)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        return (self.phases * _from_real(x[:, 0] + 1j * x[:, 1])).astype(
+            complex)
 
 
 @dataclass(eq=False)
@@ -146,7 +141,7 @@ class ControlPlan:
 
 def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
                     mode: str = "both") -> HumSystem:
-    """Gram matrix of the adjoint traces observed over [0, T].
+    """Gram operator of the adjoint traces observed over [0, T].
 
     The quadratic form of a seed equals ``integral_0^T`` of the squared
     observed adjoint traces; in single-control modes only the matching
@@ -157,34 +152,28 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         raise ValueError(f"unknown mode {mode!r}")
     if not T > 0:
         raise ValueError("horizon must be positive")
-    table = spectrum_table(params, N)
-    omega = table.omega.ravel()
-    amps = trace_amplitudes(params, N, x0, adjoint=True)[_CHANNELS[mode]]
-    # the Hermitian kernel times sum_c a_c a_c^H, symmetrized: with fused
-    # multiply-adds that sum's diagonal keeps imaginary parts of ~eps
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = exp_kernel(omega, None, 0.0, T)
-        lam *= sum(np.outer(a, np.conj(a)) for a in amps)
-        lam = (lam + lam.conj().T) / 2
-    if not np.all(np.isfinite(lam)):
+    if not T < math.sqrt(np.finfo(float).max):  # T^2 in ``signals._series``
         raise ValueError(f"horizon T={T:g} overflows the control operator")
-    phases = mode_phases(table, x0, T / 2).ravel()
+    table = spectrum_table(params, N)
     rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]
+    blocks = _parity_blocks(rows, table.omega.ravel(), T / 2)
+    phases = mode_phases(table, x0, T / 2).ravel()
     v = None
     if mode != "both":
         # the phi-trace 2d(q+ + q-) vanishes on q+ = -q-, the psi-trace
         # sqrt(4acd)(q+ - q-) on q+ = q-
-        v = np.zeros(len(omega))
+        v = np.zeros(len(phases))
         sign = -1.0 if mode == "f_only" else 1.0
         v[[N, 3 * N + 1]] = np.array([1.0, sign]) / np.sqrt(2)
-    return HumSystem(lam, phases, v, rows, omega, params, x0, T, mode)
+    return HumSystem(tuple(b.astype(np.longdouble) for b in blocks), phases,
+                     v, params, N, x0, T, mode)
 
 
 def _checked(system: HumSystem | None, params, N, x0, T, mode) -> HumSystem:
     """``system`` (new if None); ValueError if built for another problem."""
     if system is not None and (
-            system.params, len(system.matrix), system.x0, system.T,
-            system.mode) != (params, 2 * (2 * N + 1), x0, T, mode):
+            system.params, system.N, system.x0, system.T,
+            system.mode) != (params, N, x0, T, mode):
         raise ValueError("system was assembled for another problem")
     return assemble_lambda(params, N, x0, T, mode) if system is None else system
 
@@ -233,15 +222,16 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     if not np.all(np.isfinite(rhs)):
         raise ValueError("initial and target states must be finite")
 
-    vals, cond, W, _ = system._factor
+    vals, cond, V, _ = system._factor
     what = "control operator" if system.constraint is None else \
         "restricted control operator"
-    if W is None:
+    if V is None:
         raise IllConditioned(
             f"{what} condition number exceeds 1e14; increase T or reduce N",
             condition_number=cond, alpha_estimate=float(vals[0]))
     s = system._refined_solve(rhs)
-    rhs_norm = np.linalg.norm(system._reduce(rhs))
+    v = system.constraint  # D is 1 at k=0, so D v = v
+    rhs_norm = np.linalg.norm(rhs if v is None else rhs - v * (v @ rhs))
     est = 0.0 if rhs_norm == 0 else float(
         np.finfo(float).eps * vals[-1] * np.linalg.norm(s) / rhs_norm)
     if est > ERROR_EST_LIMIT:
@@ -256,7 +246,8 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     # seeded with conj(s): amplitudes -conj(amps) s at the frequencies -omega
     rows = -np.conj(trace_amplitudes(params, N, x0, adjoint=True)) * s
     used = (mode != "g_only", mode != "f_only")
-    f, g = (ExponentialSignal.from_terms(zip(row, -system.omega, [0] * len(s)))
+    omega = spectrum_table(params, N).omega.ravel()
+    f, g = (ExponentialSignal.from_terms(zip(row, -omega, [0] * len(s)))
             if use else None for row, use in zip(rows, used))
     return ControlPlan(f, g, x0, T, np.conj(s), est)
 
@@ -276,7 +267,9 @@ def reachable_defect(params: PhysicalParams, N: int, x0: float, T: float,
     kernel direction.  A ``system`` for another problem raises ValueError.
     """
     system = _checked(system, params, N, x0, T, mode)
-    rhs = system.matrix @ np.asarray(seed_coeffs, dtype=complex)
+    D = system.phases
+    rhs = (D * _from_real(system._apply(_to_real(
+        np.conj(D) * np.asarray(seed_coeffs, dtype=complex))))).astype(complex)
     table = spectrum_table(params, N)
     weights = 2 * np.pi * table.norm2 / params.weight
     return ModalState(N, rhs.reshape(2, -1)[:, ::-1] / weights)

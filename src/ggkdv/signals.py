@@ -73,14 +73,14 @@ def _series(w, m, t0, t1):
     return np.sum(np.cumprod(ratio, axis=-1) * ((t1**p - t0**p) / p), axis=-1)
 
 
-def _phase(w, t: float):
-    """e^{i w t} for real w, right to an ulp at any |w t| and odd in w bit
-    for bit: w t = p + e exactly, by Dekker's two-product over Veltkamp's
-    split, and e^{i w t} = e^{ip} e^{ie}."""
+def _phase(w, t: float, dtype=complex):
+    """e^{i w t} for real w in dtype's precision, right to an ulp at any
+    |w t| and odd in w bit for bit: w t = p + e exactly, by Dekker's
+    two-product over Veltkamp's split, and e^{i w t} = e^{ip} e^{ie}."""
     p = w * t
     (w_hi, w_lo), (t_hi, t_lo) = _split(w), _split(t)
     e = ((w_hi * t_hi - p) + w_hi * t_lo + w_lo * t_hi) + w_lo * t_lo
-    return np.exp(1j * p) * np.exp(1j * e)
+    return np.exp(1j * np.asarray(p, dtype)) * np.exp(1j * e)
 
 
 def _split(x):

@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import GGKdVError
+from .signals import _phase
 
 #: Relative tolerance deciding the degenerate regime a*d = 1.  The regime
 #: switch changes qualitative behaviour (positive critical time), so it is
@@ -179,19 +180,22 @@ def trace_amplitudes(params: PhysicalParams, N: int, x0: float,
     by duality, a Dirac input at x0 enters mode j through conj(amps[:, j]).
     """
     table = spectrum_table(params, N)
-    z = table.zt if adjoint else table.z
-    return (z.transpose(2, 0, 1) * mode_phases(table, x0)).reshape(2, -1)
+    z = (table.zt if adjoint else table.z).transpose(2, 0, 1)
+    z = z * mode_phases(table, x0) if x0 else z  # all 1 at x0 = 0
+    return z.reshape(2, -1).astype(complex)
 
 
 def mode_phases(table: SpectrumTable, x0: float,
                 t_c: float = 0.0) -> np.ndarray:
     """The diagonal ``e^{i(k x0 + omega t_c)}`` over [branch, k + N], shape
     (2, 2N+1), through which the point x0 and a window's centre t_c enter
-    the traces and their Gram matrices.  x0 is first reduced exactly
-    modulo 2 pi, so that the phases k x0 stay exact to an ulp at any x0
-    (e^{ikx0} is 2 pi periodic)."""
+    the traces and their Gram matrices, in long double: x0 is reduced
+    exactly modulo 2 pi, and both factors are exact phases
+    (``signals._phase``), right to an ulp of long double at any x0 and t_c.
+    A caller in double rounds the diagonal once."""
     x0 = math.fmod(x0, 2 * math.pi)
-    return np.exp(1j * (table.ks * x0 + table.omega * t_c))
+    return (_phase(table.ks, x0, np.clongdouble)
+            * _phase(table.omega, t_c, np.clongdouble))
 
 
 # The real-field basis U pairs each mode with its partner -k on the same
@@ -202,7 +206,8 @@ def mode_phases(table: SpectrumTable, x0: float,
 # diagonal there (``gram._parity_blocks``).  The real coordinates are laid
 # out as those blocks: first C+, [e_0, u_1 .. u_N] per branch (2(N+1)
 # entries), then C-, [v_1 .. v_N] per branch (2N entries).  U is applied by
-# index arithmetic over the (k, -k) pairs, never as a matrix.
+# index arithmetic over the (k, -k) pairs, never as a matrix, with sqrt2 in
+# its operand's precision (long double in ``hum``'s refinement).
 
 
 def _to_real(y: np.ndarray) -> np.ndarray:
@@ -210,10 +215,10 @@ def _to_real(y: np.ndarray) -> np.ndarray:
     in the layout [C+, C-] above."""
     y = np.asarray(y)
     N, rest = (len(y) // 2 - 1) // 2, y.shape[1:]
-    y = y.reshape(2, 2 * N + 1, *rest)
+    y, root2 = y.reshape(2, 2 * N + 1, *rest), np.sqrt(y.real.dtype.type(2))
     p, m = y[:, N + 1:], y[:, :N][:, ::-1]
-    plus = np.concatenate([y[:, N:N + 1], (p + m) / np.sqrt(2)], axis=1)
-    minus = (m - p) * (1j / np.sqrt(2))
+    plus = np.concatenate([y[:, N:N + 1], (p + m) / root2], axis=1)
+    minus = (m - p) * (1j / root2)
     return np.concatenate([plus.reshape(-1, *rest), minus.reshape(-1, *rest)])
 
 
@@ -223,8 +228,9 @@ def _from_real(z: np.ndarray) -> np.ndarray:
     N, rest = (len(z) // 2 - 1) // 2, z.shape[1:]
     plus = z[:2 * N + 2].reshape(2, N + 1, *rest)
     p, im = plus[:, 1:], 1j * z[2 * N + 2:].reshape(2, N, *rest)
-    y = np.concatenate([((p - im) / np.sqrt(2))[:, ::-1], plus[:, :1],
-                        (p + im) / np.sqrt(2)], axis=1)
+    root2 = np.sqrt(z.real.dtype.type(2))
+    y = np.concatenate([((p - im) / root2)[:, ::-1], plus[:, :1],
+                        (p + im) / root2], axis=1)
     return y.reshape(len(z), *rest)
 
 

@@ -16,7 +16,6 @@ from ggkdv.gram import (
 from ggkdv.gram import (COINCIDENT_TOL, _centred_kernel, _cluster,
                         _newton_gram, _parity_blocks, _parity_kernels,
                         _structural_kernel)
-from ggkdv.hum import assemble_lambda
 from ggkdv.modal import ModalState, energy, reconstruct, trace
 from ggkdv.signals import exp_kernel, exp_poly_integral
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
@@ -142,7 +141,7 @@ def trace_gram_cases(draw):
 class TestTraceGram:
     """The multi-channel trace Gram ``sum_c a_c a_c^H * K``, K the kernel
     of ``exp_kernel`` in its shifted layout (the weighted feedback
-    Gramian) and, unshifted, its Hermitian one (the HUM operator)."""
+    Gramian) and, unshifted, its Hermitian one."""
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
@@ -171,9 +170,6 @@ class TestTraceGram:
     @pytest.mark.parametrize("preset", ["generic", "resonant"])
     def test_operators_exactly_hermitian(self, preset):
         params = PRESETS[preset]
-        for mode in ("both", "f_only", "g_only"):
-            lam = assemble_lambda(params, 6, 0.7, 3.0, mode).matrix
-            assert np.array_equal(lam, lam.conj().T)
         for rate in (0.0, 0.5):
             lam_w = _weighted_gramian(params, 6, 0.7, rate, 3.0)[3]
             assert np.array_equal(lam_w, lam_w.conj().T)

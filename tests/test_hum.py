@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ggkdv.errors import ConstraintViolation, IllConditioned
-from ggkdv.gram import _parity_blocks
 from ggkdv.hum import (
     ERROR_EST_LIMIT,
+    _CHANNELS,
     HumSystem,
     _duality_rhs,
     assemble_lambda,
@@ -31,9 +31,9 @@ from ggkdv.modal import (
     u_mean,
     v_mean,
 )
-from ggkdv.signals import ExponentialSignal
-from ggkdv.spectral import (PRESETS, PhysicalParams, _to_real, critical_time,
-                            spectrum_table)
+from ggkdv.signals import ExponentialSignal, exp_kernel
+from ggkdv.spectral import (PRESETS, PhysicalParams, _from_real, _to_real,
+                            critical_time, spectrum_table, trace_amplitudes)
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
@@ -43,6 +43,26 @@ def quad_integral(func, t0, t1):
     re, _ = quad(lambda t: func(t).real, t0, t1, limit=300)
     im, _ = quad(lambda t: func(t).imag, t0, t1, limit=300)
     return re + 1j * im
+
+
+def reference_lambda(system):
+    """The operator ``system`` was assembled for, built apart from its
+    parity blocks: the Hermitian kernel over [0, T] times ``sum_c a_c
+    a_c^H`` of the observed adjoint trace amplitudes at x0."""
+    params, N = system.params, system.N
+    omega = spectrum_table(params, N).omega.ravel()
+    amps = trace_amplitudes(params, N, system.x0, adjoint=True)
+    return exp_kernel(omega, None, 0.0, system.T) * sum(
+        np.outer(a, np.conj(a)) for a in amps[_CHANNELS[system.mode]])
+
+
+def operator(system):
+    """The operator the solves use, ``D U blkdiag(C+, C-) U^H D^H``, as a
+    dense matrix."""
+    D = system.phases
+    eye = np.eye(len(D))
+    return (D[:, None] * _from_real(system._apply(
+        _to_real(np.conj(D)[:, None] * eye)))).astype(complex)
 
 
 def unit_energy_state(params, N, rng):
@@ -79,7 +99,7 @@ class TestAssembleLambda:
         N, x0, T = 6, 0.4, 1.0
         system = assemble_lambda(GENERIC, N, x0, T)
         s = rng.standard_normal(2 * (2 * N + 1)) + 1j * rng.standard_normal(2 * (2 * N + 1))
-        form = float(np.real(np.vdot(s, system.matrix @ s)))
+        form = float(np.real(np.vdot(s, operator(system) @ s)))
         xi = ModalState(N, np.conj(s).reshape(2, 2 * N + 1))
         phi, psi = trace(GENERIC, xi, x0, adjoint=True)
         closed = phi.l2_norm_sq(0.0, T) + psi.l2_norm_sq(0.0, T)
@@ -95,13 +115,16 @@ class TestAssembleLambda:
         assert system.constraint is None
 
     def test_hermitian(self):
-        m = assemble_lambda(GENERIC, 5, 0.3, 2.0).matrix
+        system = assemble_lambda(GENERIC, 5, 0.3, 2.0)
+        for block in system.blocks:
+            assert np.array_equal(block, block.T)
+        m = operator(system)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-13 * np.max(np.abs(m))
 
     def test_n0_linear_in_t(self):
         # the k=0 adjoint mode is frozen, so Lambda is exactly linear in T
-        m1 = assemble_lambda(GENERIC, 0, 0.0, 1.0).matrix
-        m3 = assemble_lambda(GENERIC, 0, 0.0, 3.0).matrix
+        m1 = operator(assemble_lambda(GENERIC, 0, 0.0, 1.0))
+        m3 = operator(assemble_lambda(GENERIC, 0, 0.0, 3.0))
         assert np.max(np.abs(m3 - 3 * m1)) <= 1e-12 * np.max(np.abs(m1))
 
     def test_single_mode_kernel_recorded(self):
@@ -109,9 +132,9 @@ class TestAssembleLambda:
         sysg = assemble_lambda(GENERIC, 4, 0.0, 1.0, "g_only")
         for system in (sysf, sysg):
             assert system.constraint is not None
-            ker = system.constraint
-            resid = np.linalg.norm(system.matrix @ ker)
-            assert resid <= 1e-10 * np.max(np.abs(system.matrix))
+            ker, m = system.constraint, operator(system)
+            resid = np.linalg.norm(m @ ker)
+            assert resid <= 1e-10 * np.max(np.abs(m))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -119,9 +142,10 @@ class TestAssembleLambda:
 
 
 class TestRealFactorization:
-    """Lambda = D R D^H: the solves factor the real R, completed in single
-    modes along the kernel direction v by sigma v v^T, sigma = trace(R) /
-    (n - 1) the mean of the other eigenvalues."""
+    """Lambda = D R D^H: the solves factor the real R, held as its parity
+    blocks and completed in single modes along the kernel direction v by
+    sigma v v^T, sigma = trace(R) / (n - 1) the mean of the other
+    eigenvalues.  Lambda is ``reference_lambda``, built over [0, T]."""
 
     @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
     @pytest.mark.parametrize("x0", [0.0, 0.9365, 2.5])
@@ -131,14 +155,15 @@ class TestRealFactorization:
         params = PRESETS[preset]
         T = 1.0 if preset == "generic" else 1.2 * critical_time(params)
         system = assemble_lambda(params, N, x0, T, mode)
+        lam = reference_lambda(system)
         eps = np.finfo(float).eps
-        ref = scipy.linalg.eigvalsh(system.matrix)
+        ref = scipy.linalg.eigvalsh(lam)
         vals = system.eigvals()
         assert vals[-1] == pytest.approx(ref[-1], rel=1e-14)
         assert np.max(np.abs(vals - ref)) <= 32 * eps * ref[-1]
         if mode != "both":
             P = scipy.linalg.null_space(system.constraint[None, :].conj())
-            ref = scipy.linalg.eigvalsh(P.conj().T @ system.matrix @ P)
+            ref = scipy.linalg.eigvalsh(P.conj().T @ lam @ P)
             vals = system._factor[0]
             completed = np.sort(np.append(ref, ref.mean()))
             assert np.max(np.abs(vals - completed)) <= 32 * eps * ref[-1]
@@ -154,7 +179,8 @@ class TestRealFactorization:
     def test_kernel_columns_exact(self, params, N):
         # the completion needs R v = 0: Lambda's, R's and C+'s k=0 columns
         # are equal (f_only) or opposite (g_only) bit for bit.  R @ v itself
-        # is not asserted, since a fused multiply-add can leave 1e-17 in it
+        # is not asserted, since a fused multiply-add can leave 1e-17 in it.
+        # Lambda and R here are the reference's, C+ the system's
         T0 = critical_time(RESONANT)
         for mode in ("f_only", "g_only"):
             for x0 in (0.0, 0.9365, 2.5):
@@ -163,14 +189,13 @@ class TestRealFactorization:
                     v = system.constraint
                     a, b = np.flatnonzero(v)
                     sign = -v[b] / v[a]
-                    D = system.phases
-                    R = (np.conj(D)[:, None] * system.matrix * D).real
+                    D, lam = system.phases, reference_lambda(system)
+                    R = (np.conj(D)[:, None] * lam * D).real
                     R = (R + R.T) / 2
-                    for M in (system.matrix, R):
+                    for M in (lam, R):
                         assert np.array_equal(M[:, a], sign * M[:, b])
                     # the solves complete C+, whose k=0 columns are 0 and N+1
-                    plus, _ = _parity_blocks(system.rows, system.omega,
-                                             T / 2)
+                    plus, _ = system.blocks
                     assert np.array_equal(plus[:, 0], sign * plus[:, N + 1])
 
     @pytest.mark.parametrize("mode", ["both", "f_only", "g_only"])
@@ -184,10 +209,10 @@ class TestRealFactorization:
         T = T or 1.2 * critical_time(params)
         system = assemble_lambda(params, N, x0, T, mode)
         D = system.phases
-        R = (np.conj(D)[:, None] * system.matrix * D).real
+        R = (np.conj(D)[:, None] * reference_lambda(system) * D).real
         R = (R + R.T) / 2
         URU = _to_real(np.conj(_to_real(R)).T).conj().T
-        plus, minus = _parity_blocks(system.rows, system.omega, T / 2)
+        plus, minus = system.blocks
         n_p = len(plus)
         tol = 1e-15 * np.max(np.abs(R))
         assert np.max(np.abs(URU[:n_p, :n_p] - plus)) <= tol
@@ -195,9 +220,10 @@ class TestRealFactorization:
         assert not np.any(URU[:n_p, n_p:])
 
     def test_resonant_roundtrip_digits(self):
-        # refinement residuals against the complex Lambda over [0, T], whose
-        # closed forms the Duhamel check shares, keep the round trip at a
-        # few eps; residuals against R put the median here at 6e-15
+        # refinement residuals in long double against the blocks, with the
+        # phases D and U applied in long double, keep the round trip at a
+        # few eps: here a median of 1.7e-15, where the exact solution of
+        # the operator (40-digit mpmath) reads 1.4e-15
         N, T = 32, 1.2 * critical_time(RESONANT)
         rng = np.random.default_rng(90)
         errors = []
@@ -259,7 +285,7 @@ class TestSolveControl:
         plan = solve_control(GENERIC, N, 0.0, T, initial, ModalState.zeros(N),
                              system=system)
         s = np.conj(plan.adjoint_seed)
-        form = float(np.real(np.vdot(s, system.matrix @ s)))
+        form = float(np.real(np.vdot(s, reference_lambda(system) @ s)))
         assert control_cost(plan) == pytest.approx(form, rel=1e-9)
         # and, as Lambda s = rhs, cost = Re<s, rhs>, whatever Lambda is
         rhs = _duality_rhs(GENERIC, initial)
@@ -626,10 +652,10 @@ class TestReachableDefect:
         x0, T = 0.9365, 1.2 * critical_time(params) or 1.0
         system = assemble_lambda(params, N, x0, T, mode)
         rng = np.random.default_rng(N)
-        seed = rng.standard_normal(len(system.matrix)) \
-            + 1j * rng.standard_normal(len(system.matrix))
+        seed = rng.standard_normal(len(system.phases)) \
+            + 1j * rng.standard_normal(len(system.phases))
         defect = reachable_defect(params, N, x0, T, mode, seed, system)
-        rhs = system.matrix @ seed
+        rhs = reference_lambda(system) @ seed
         assert np.max(np.abs(_duality_rhs(params, defect) - rhs)) \
             <= 1e-14 * np.max(np.abs(rhs))
         reference = solved_defect(params, N, rhs)
@@ -704,9 +730,9 @@ class TestMpmathReference:
     reference built from (a, c, d, r) in mpmath, with ``mp.lu_solve`` for
     ``Lambda s = rhs`` and the cost ``s^H Lambda s``.  Measured: Lambda
     within 4.7e-15 of its largest diagonal entry (resonant N=4, f_only);
-    the seed within 2.2e-11 of its largest entry at generic N=4 (condition
-    number 1.25e6) and 2.3e-15 at resonant N=4 (3.4); the cost within
-    3.9e-11 and 3.8e-16 relative."""
+    the seed within 1.4e-12 of its largest entry at generic N=4 and 8
+    (condition number 1.25e6 and 1.29e6) and 2.3e-15 at resonant N=4
+    (3.4); the cost within 1.7e-11 and 3.8e-16 relative."""
 
     CASES = [("generic", 2, 1.0), ("generic", 4, 1.0),
              ("resonant", 2, 1.2 * critical_time(RESONANT)),
@@ -722,10 +748,10 @@ class TestMpmathReference:
         with mp.workdps(40):
             ref = to_numpy(mp_hum_operator(
                 mp, params, N, x0, T, [0, 1] if mode == "both" else [0])[0])
-        lam = assemble_lambda(params, N, x0, T, mode).matrix
+        lam = operator(assemble_lambda(params, N, x0, T, mode))
         assert np.max(np.abs(lam - ref)) <= 2e-14 * np.max(np.abs(np.diag(ref)))
 
-    @pytest.mark.parametrize("preset, N, T", CASES)
+    @pytest.mark.parametrize("preset, N, T", CASES + [("generic", 8, 1.0)])
     def test_seed_and_cost(self, preset, N, T):
         mp = pytest.importorskip("mpmath")
         x0, params = 0.9365, PRESETS[preset]
@@ -740,6 +766,10 @@ class TestMpmathReference:
             cost = float(mp.re((s.H * lam * s)[0, 0]))
             s = to_numpy(s).ravel()
         seed_tol, cost_tol = self.BOUNDS[preset]
-        assert np.max(np.abs(np.conj(plan.adjoint_seed) - s)) \
-            <= seed_tol * np.max(np.abs(s))
+        seed_err = np.max(np.abs(np.conj(plan.adjoint_seed) - s))
+        assert seed_err <= seed_tol * np.max(np.abs(s))
+        if preset == "generic":
+            # the solve and its refinement in the blocks' real basis, with
+            # the exact phases, resolve the seed to 1.4e-12 here
+            assert seed_err <= 1e-11 * np.max(np.abs(s))
         assert abs(control_cost(plan) - cost) <= cost_tol * cost

@@ -15,6 +15,7 @@ from ggkdv.spectral import (
     _to_real,
     critical_time,
     gap_report,
+    mode_phases,
     resonance_check,
     spectrum_table,
     symbol_matrix,
@@ -289,6 +290,25 @@ class TestRealFieldLayout:
             back = _from_real(_to_real(y))
             assert back.shape == shape
             assert np.max(np.abs(back - y)) <= 1e-15 * np.max(np.abs(y))
+
+
+class TestModePhases:
+    @pytest.mark.parametrize("preset, N, x0, t_c", [
+        ("resonant", 64, 0.9365, 0.6 * critical_time(RESONANT)),
+        ("generic", 64, 0.9365, 0.5),
+        ("resonant", 32, 2.5, 0.6 * critical_time(RESONANT))])
+    def test_exact_against_mpmath(self, preset, N, x0, t_c):
+        # |omega t_c| reaches 3.95e6 rad at resonant N=64; a phase taken as
+        # exp(1j (k x0 + omega t_c)) in double was off there by 3.0e-10
+        mp = pytest.importorskip("mpmath")
+        table = spectrum_table(PRESETS[preset], N)
+        phases = mode_phases(table, x0, t_c)
+        with mp.workdps(40):
+            ref = np.array([[complex(mp.expj(int(k) * mp.mpf(x0)
+                                             + mp.mpf(float(w)) * mp.mpf(t_c)))
+                             for k, w in zip(table.ks, row)]
+                            for row in table.omega])
+        assert np.max(np.abs(phases - ref)) <= 1e-14
 
 
 class TestGapReport:
