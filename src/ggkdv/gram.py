@@ -11,8 +11,8 @@ the amplitudes even), so it is solved as two real parity blocks over the
 modes k >= 0, never assembled whole; ``_block_eigh`` gives their
 eigenvectors, and factors ``hum``'s control operator too.  Their kernel
 entries 2 sin(x h) / x, at every frequency difference and sum x, come by the
-addition formula from one exact phase per frequency (``signals._phase``,
-which ``exp_kernel`` shares), not one sine per entry.
+addition formula from one exact phase per frequency, not one sine per entry
+(``signals._centred_matrix``, also the kernel of control costs).
 ``divided_difference_constants`` gives the Riesz bounds of the merged
 frequency family, whose cross-branch members cluster in pairs, in the Newton
 divided-difference coordinates of the single-trace proof: the Gram of the
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EpsilonUnderflow
-from .signals import _phase, exp_kernel
+from .signals import _centred_kernel, _centred_matrix, _phase, exp_kernel
 from .spectral import (PhysicalParams, SpectrumTable, _from_real,
                        mode_phases, spectrum_table, trace_amplitudes)
 
@@ -136,8 +136,8 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     K(omega_i - omega_j)`` in the real-field basis, for amplitude rows even
     and frequencies odd in k; C+ runs over [branch, k] for k >= 0, C- for
     k > 0.  Their kernels K(omega_i -+ omega_j) come from
-    ``_parity_kernels``, one at a time.  Raises ValueError for a
-    half-window h at which they overflow."""
+    ``_parity_kernels``.  Raises ValueError for a half-window h at which
+    they overflow."""
     N = (len(omega) // 2 - 1) // 2
     w = omega.reshape(2, 2 * N + 1)[:, N:].ravel()
     a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].copy()
@@ -166,31 +166,10 @@ def _positive(M, N: int):
 
 
 def _parity_kernels(w, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``K(w_i - w_j)`` and ``K(w_i + w_j)`` of the real centred kernel K
-    (``_centred_kernel``), built one after the other.
-
-    Both come from the sines and cosines of the n phases w h by the
-    addition formula, ``K(w_i -+ w_j) = 2 (s_i c_j -+ c_i s_j) / (w_i -+
-    w_j)``, so no sine is taken per entry.  Each ``c + i s`` is the exact
-    phase ``signals._phase``, right to an ulp at any |w h|.  Where
-    |w_i -+ w_j| h < 1 the formula cancels, and ``_centred_kernel`` is
-    taken instead (this includes a zero sum or difference at any h)."""
-    cis = _phase(w, h)
-    # 2 s_i c_j; its transpose holds 2 c_i s_j
-    sc = np.multiply.outer(2 * cis.imag, cis.real)
-    diff = _addition_kernel(np.subtract, w, sc, h)
-    return diff, _addition_kernel(np.add, w, sc, h)
-
-
-def _addition_kernel(op, w, sc, h: float):
-    """K(x) at x = op(w_i, w_j), op np.subtract or np.add, from sc = 2 s_i
-    c_j: ``op(sc, sc^T) / x``, or ``_centred_kernel`` where |x| h < 1."""
-    x = op.outer(w, w)
-    near = np.abs(x) * h < 1  # not 1 / h: h may underflow to 0
-    num = op(sc, sc.T)
-    np.divide(num, x, out=num, where=~near)
-    num[near] = _centred_kernel(x[near], h)
-    return num
+    """``K(w_i - w_j)`` and ``K(w_i + w_j)`` of the real centred kernel K,
+    from one exact phase per frequency (``signals._centred_matrix``)."""
+    return tuple(_centred_matrix(w, None, h, _phase(w, h),
+                                 (np.subtract, np.add)))
 
 
 def _block_eigh(plus, minus) -> tuple[np.ndarray, np.ndarray]:
@@ -203,13 +182,6 @@ def _block_eigh(plus, minus) -> tuple[np.ndarray, np.ndarray]:
     vecs, rank = np.zeros((len(vals),) * 2, order="F"), np.argsort(order)
     vecs[:n_p, rank[:n_p]], vecs[n_p:, rank[n_p:]] = vecs_p, vecs_m
     return vals[order], vecs
-
-
-def _centred_kernel(delta, h: float):
-    """``K(delta) = integral_{-h}^{h} e^{i delta t} dt = 2 sin(delta h) /
-    delta``, real, even, exact at delta = 0 and free of cancellation near
-    it, so it needs no series branch."""
-    return 2 * h * np.sinc(delta * (h / np.pi))
 
 
 def _structural_kernel(amps, omega) -> np.ndarray:

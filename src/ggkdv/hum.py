@@ -21,13 +21,13 @@ from .errors import ConstraintViolation, IllConditioned
 from .gram import _block_eigh, _parity_blocks
 from .modal import (ModalState, energy, evolve, forced_evolve, h_norm, trace,
                     u_mean, v_mean)
-from .signals import ExponentialSignal, total_l2_norm_sq
+from .signals import ExponentialSignal, _signals, total_l2_norm_sq
 from .spectral import (PhysicalParams, _from_real, _to_real, mode_phases,
                        spectrum_table, trace_amplitudes)
 
 COND_LIMIT = 1e14
-# Largest accepted a-priori estimate eps * lambda_max * |s| / |rhs| of the
-# relative round-trip error of a solve (the tightest round-trip tolerance
+# Largest accepted a-priori estimate of the relative round-trip error of a
+# solve and its check (``solve_control``; the tightest round-trip tolerance
 # in use is 1e-8).
 ERROR_EST_LIMIT = 1e-8
 MEAN_TOL = 1e-10
@@ -135,7 +135,7 @@ class ControlPlan:
     x0: float
     T: float
     adjoint_seed: np.ndarray   # seed coefficients xi over (branch, k)
-    # a-priori estimate of the relative round-trip error of the solve
+    # a-priori estimate of the relative round-trip error of solve and check
     error_estimate: float | None = None
 
 
@@ -152,7 +152,7 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
         raise ValueError(f"unknown mode {mode!r}")
     if not T > 0:
         raise ValueError("horizon must be positive")
-    if not T < math.sqrt(np.finfo(float).max):  # T^2 in ``signals._series``
+    if not T < math.sqrt(np.finfo(float).max):  # T^2, as ``exp_kernel`` takes
         raise ValueError(f"horizon T={T:g} overflows the control operator")
     table = spectrum_table(params, N)
     rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]
@@ -200,7 +200,8 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     of the structural kernel direction.  Raises ValueError for a ``system``
     assembled for another problem, IllConditioned when the solved operator's
     condition number exceeds COND_LIMIT or the estimated relative round-trip
-    error of the solve, ``eps * lambda_max * |s| / |rhs|``, ERROR_EST_LIMIT.
+    error, ``eps (2 lambda_max |s| / |rhs| + (|initial| + |target|) /
+    scale)`` with the scale of ``verify_roundtrip``, ERROR_EST_LIMIT.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = h_norm(params, initial), h_norm(params, target)
@@ -232,8 +233,11 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     s = system._refined_solve(rhs)
     v = system.constraint  # D is 1 at k=0, so D v = v
     rhs_norm = np.linalg.norm(rhs if v is None else rhs - v * (v @ rhs))
-    est = 0.0 if rhs_norm == 0 else float(
-        np.finfo(float).eps * vals[-1] * np.linalg.norm(s) / rhs_norm)
+    # rounding model: the solve's backward error and the check's Duhamel
+    # step (the same kernel applied to s) each eps lambda_max |s| / |rhs|;
+    # the check's free flow, sum and difference eps of the states they round
+    est = float(np.finfo(float).eps * (sum(norms) / scale + (
+        0.0 if rhs_norm == 0 else 2 * vals[-1] * np.linalg.norm(s) / rhs_norm)))
     if est > ERROR_EST_LIMIT:
         raise IllConditioned(
             f"{what} (condition number {cond:.1e}) gives an estimated "
@@ -245,10 +249,10 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     # f = -conj(phi(., x0)), g = -conj(psi(., x0)) of the adjoint solution
     # seeded with conj(s): amplitudes -conj(amps) s at the frequencies -omega
     rows = -np.conj(trace_amplitudes(params, N, x0, adjoint=True)) * s
-    used = (mode != "g_only", mode != "f_only")
+    used = [mode != "g_only", mode != "f_only"]
     omega = spectrum_table(params, N).omega.ravel()
-    f, g = (ExponentialSignal.from_terms(zip(row, -omega, [0] * len(s)))
-            if use else None for row, use in zip(rows, used))
+    sigs = _signals(rows[used], -omega, np.zeros(len(s), dtype=int))
+    f, g = (next(sigs) if use else None for use in used)
     return ControlPlan(f, g, x0, T, np.conj(s), est)
 
 

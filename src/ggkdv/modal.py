@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasError
-from .signals import ExponentialSignal, exp_kernel, stack_terms
+from .signals import (ExponentialSignal, _integrate, _phase, _signals,
+                      stack_terms)
 from .spectral import PhysicalParams, spectrum_table, trace_amplitudes
 
 
@@ -107,9 +108,10 @@ def reconstruct(params: PhysicalParams, state: ModalState, M: int) -> GridFuncti
 
 
 def evolve(params: PhysicalParams, state: ModalState, t: float) -> ModalState:
-    """Free flow: diagonal phases e^{i omega t} in the eigenbasis."""
+    """Free flow: diagonal phases e^{i omega t} in the eigenbasis, exact
+    at any |omega t| (``signals._phase``)."""
     table = spectrum_table(params, state.N)
-    return ModalState(state.N, state.coeffs * np.exp(1j * table.omega * t))
+    return ModalState(state.N, state.coeffs * _phase(table.omega, t))
 
 
 def energy(params: PhysicalParams, state: ModalState) -> float:
@@ -145,8 +147,7 @@ def trace(params: PhysicalParams, state: ModalState, x0: float,
     of the k=0 pair's coinciding frequencies merge by amplitude addition."""
     amps = trace_amplitudes(params, state.N, x0, adjoint) * state.coeffs.ravel()
     omega = spectrum_table(params, state.N).omega.ravel()
-    return tuple(ExponentialSignal.from_terms(
-        (amp, freq, 0) for amp, freq in zip(row, omega)) for row in amps)
+    return tuple(_signals(amps, omega, np.zeros(len(omega), dtype=int)))
 
 
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
@@ -157,14 +158,16 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
 
     Per mode the forcing is decomposed onto the eigenbasis and each Duhamel
     integral ``integral_0^T e^{i omega (T-s)} s^d e^{i mu s} ds`` is
-    evaluated in closed form, with a series fallback near resonance; both
-    controls share one kernel block per frequency.  With both controls
-    absent this reduces to the free flow.
+    evaluated in closed form, at degree 0 as ``e^{i (omega + mu) T/2}
+    K_h(mu - omega)`` with the real centred kernel K_h, h = T/2
+    (``signals._integrate``); both controls share one kernel row per
+    frequency.  With both controls absent this reduces to the free flow.
     """
     if state0.N != N:
         raise ValueError("state truncation does not match N")
     table = spectrum_table(params, N)
-    out = evolve(params, state0, T)
+    phase = _phase(table.omega, T)
+    out = ModalState(N, state0.coeffs * phase)
     # a unit input in channel c enters mode j through conj(amps[c, j]) w_c,
     # with the energy weights w = (1, ac/d) of the u and v equations
     inputs = np.conj(trace_amplitudes(params, N, x0)) * [[1.0], [params.weight]]
@@ -172,9 +175,8 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
     if not channels:
         return out
     amps, freqs, degrees = stack_terms([sig for sig, _ in channels])
-    omega = table.omega.ravel()
-    integ = amps @ exp_kernel(freqs, -omega, 0.0, T, degrees)
-    base = np.exp(1j * omega * T) / (2 * np.pi * table.norm2.ravel())
+    integ = _integrate(amps, freqs, degrees, 0.0, T, -table.omega.ravel())
+    base = (phase / (2 * np.pi * table.norm2)).ravel()
     for (_, inp), row in zip(channels, integ):
         out.coeffs += (inp * base * row).reshape(2, -1)
     return out

@@ -4,18 +4,16 @@ Traces, controls and Gram entries all live in the class
 
     s(t) = sum_j A_j * t^{d_j} * e^{i mu_j t},   d_j in {0, 1},
 
-so every time integral in the pipeline is ``integral t^m e^{i z t} dt``
-with m = d_j + d_k <= 2 and z a frequency sum or difference, moved off the
-real axis by 2 i w under an exponential weight e^{-2 w t}.  ``exp_kernel``
-lays it out as the outer-sum matrix K[i, j] behind inner products, Grams,
-Duhamel steps and weighted Gramians, which each caller multiplies by its
-amplitudes; ``exp_poly_integral`` takes it elementwise.  No exponential is
-taken per entry: e^{i(z_i + z_j)t} is the product of the factors e^{i z t}
-of the two frequencies, whose phases are exact at any |z t| (``_phase``,
-shared with ``gram``).  The Hermitian forms (norms, control costs, Grams
-and the weighted Gramian) have the kernel K[i, j] = I(z_i - conj(z_j),
-m_i + m_j), evaluated only on and above the diagonal.  Near resonance
-|z| -> 0 the closed forms cancel; there a power series is used.
+so every time integral is ``integral t^m e^{i z t} dt`` with m = d_j + d_k
+<= 2 and z a frequency sum or difference, moved off the real axis by 2 i w
+under a weight e^{-2 w t}.  ``exp_kernel`` lays it out as the outer-sum
+matrix K[i, j] (Hermitian forms: K[i, j] = I(z_i - conj(z_j), m_i + m_j))
+behind weighted Gramians, bilinear integrals and degree > 0 terms, with a
+power series near resonance |z| -> 0.  Degree-0 terms at real frequencies,
+the controls' cost and Duhamel step, take the real centred kernel instead:
+over an interval of centre c and half-length h, ``integral e^{ixt} dt =
+e^{ixc} K_h(x)``, K_h(x) = 2 sin(x h) / x (``_integrate``).  Both build
+their entries by real products from one exact phase per frequency.
 """
 
 from __future__ import annotations
@@ -106,18 +104,14 @@ def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
     """The matrix K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
     m_rows[i] + m_cols[j], t0, t1) or, when ``z_cols`` is None, the
     Hermitian K[i, j] = exp_poly_integral(z_rows[i] - conj(z_rows[j]),
-    m_rows[i] + m_rows[j], t0, t1) (``m_cols`` unused).  No exponential is
-    taken per entry: ``_integrals`` builds e^{i(z_i + z_j)t} from the exact
-    phases and decays of each frequency by real products, not complex ones
-    (which may fuse a multiply-add), so K[j, i] = conj K[i, j] and, for
-    frequencies odd under a swap P of rows and columns, K[P, P] = conj K,
-    bit for bit.  K is built a block of rows at a time, each block at most
-    _BLOCK_ENTRIES entries (or one row), which bounds the temporaries.  In
-    the Hermitian mode the block of rows [s, e) is evaluated only in the
-    columns [s, n), e - s = _BLOCK_ENTRIES // (n - s) rows as the columns
-    shrink, and K below it is its conjugate transpose: the upper triangle
-    plus the lower triangles of the blocks' diagonal squares, 0.59 n^2 at
-    n = 258 (N = 64), and all of K when n^2 <= _BLOCK_ENTRIES.
+    m_rows[i] + m_rows[j], t0, t1).  ``_integrals`` builds e^{i(z_i +
+    z_j)t} from each frequency's exact phase and decay by real products
+    (complex ones may fuse a multiply-add), so K[j, i] = conj K[i, j] and,
+    for frequencies odd under a swap P of rows and columns, K[P, P] = conj
+    K, bit for bit.  K is built in blocks of whole rows, at most
+    _BLOCK_ENTRIES entries (or one row) each; in the Hermitian mode only on
+    and above the blocks' diagonal (0.59 n^2 at n = 258, N = 64), K below
+    being its conjugate transpose.
     """
     z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
     hermitian = z_cols is None
@@ -169,6 +163,82 @@ def _integrals(out, r, c, m, t0: float, t1: float) -> None:
                               t0, t1)
 
 
+def _centred_kernel(x, h: float):
+    """``K_h(x) = integral_{-h}^{h} e^{i x t} dt = 2 sin(x h) / x``, real,
+    even, exact at x = 0 and free of cancellation near it."""
+    return 2 * h * np.sinc(x * (h / np.pi))
+
+
+def _centred_matrix(rows, cols, h: float, cis, ops) -> list[np.ndarray]:
+    """K[k][i, j] = K_h(ops[k](rows_i, cols_j)), ops np.add or np.subtract,
+    by the addition formula 2 sin(x h) = 2 s_i c_j +- c_i 2 s_j from the
+    exact phases ``cis`` = c + i s = e^{i w h} of rows (then cols), or by
+    ``_centred_kernel`` where |x h| < 1.  Built in row blocks as
+    ``exp_kernel``; cols None means rows, and K symmetric, evaluated only
+    on and above the blocks' diagonal."""
+    symmetric, cols = cols is None, rows if cols is None else cols
+    s2, c = 2 * cis.imag, cis.real
+    out = [np.empty((len(rows), len(cols))) for _ in ops]
+    start = 0
+    while start < len(rows):
+        first = start if symmetric else 0
+        stop = min(len(rows), start + max(1, _BLOCK_ENTRIES // max(
+            1, len(cols) - first)))
+        r, q = slice(start, stop), slice(len(c) - len(cols) + first, None)
+        P, Q = np.multiply.outer(s2[r], c[q]), np.multiply.outer(c[r], s2[q])
+        rows_r, cols_q = rows[r], cols[first:]
+        for K, op in zip(out, ops):
+            block, x = K[r, first:], op.outer(rows_r, cols_q)
+            near = np.abs(x) * abs(h) < 1  # not 1 / h: h may underflow to 0
+            x_near, x[near] = x[near], 1  # 1 keeps the division finite
+            np.divide(op(P, Q, out=block), x, out=block)
+            block[near] = _centred_kernel(x_near, h)
+            if symmetric and stop < len(rows):
+                K[stop:, r] = K[r, stop:].T
+        start = stop
+    return out
+
+
+def _integrate(amps, freqs, degrees, t0: float, t1: float, cols=None):
+    """``amps @ exp_kernel(freqs, cols, t0, t1, degrees)``.  At degree 0,
+    K[i, j] = e^{i x c} K_h(x), x = mu_i + zeta_j (mu = freqs, zeta = cols
+    or -mu), c and h the centre and half-length of [t0, t1]: e^{i mu c}
+    goes onto the amplitudes, whose real and imaginary parts take one real
+    product with K_h, and e^{i zeta c} onto its columns."""
+    if degrees.any():
+        return amps @ exp_kernel(freqs, cols, t0, t1, degrees)
+    c, h, hermitian = (t0 + t1) / 2, (t1 - t0) / 2, cols is None
+    w = freqs if hermitian else np.concatenate([freqs, cols])
+    cis = _phase(w, h)
+    centre = cis if c == h else _phase(w, c)
+    b = amps * centre[:len(freqs)]
+    part = np.concatenate([b.real, b.imag]) @ _centred_matrix(
+        freqs, cols, h, cis, [np.subtract if hermitian else np.add])[0]
+    ends = np.conj(centre) if hermitian else centre[len(freqs):]
+    return (part[:len(b)] + 1j * part[len(b):]) * ends
+
+
+def _merge(amps, freqs, degrees):
+    """Amplitude rows summed per (freq, degree) key from 0.0 in order, as a
+    dict merge bit for bit: ``(sums, freqs, degrees)`` over sorted keys."""
+    _, first, key = np.unique(freqs + 1j * degrees, return_index=True,
+                              return_inverse=True)
+    sums = np.zeros((len(amps), len(first)), dtype=complex)
+    np.add.at(sums, (slice(None), key), amps)
+    return sums, freqs[first], degrees[first]
+
+
+def _signals(amps, freqs, degrees):
+    """One signal per amplitude row from one ``_merge``, each without its
+    zero amplitudes, keeping its arrays as ``_stacked``."""
+    sums, freqs, degrees = _merge(amps, freqs, degrees)
+    for k, row in zip(sums != 0, sums):
+        sig = ExponentialSignal(tuple(zip(
+            row[k].tolist(), freqs[k].tolist(), degrees[k].tolist())))
+        sig.__dict__["_stacked"] = row[None, k], freqs[k], degrees[k]
+        yield sig
+
+
 @dataclass(frozen=True)
 class ExponentialSignal:
     """Finite sum of terms ``amp * t^degree * e^{i freq t}``."""
@@ -179,16 +249,9 @@ class ExponentialSignal:
     def from_terms(terms) -> "ExponentialSignal":
         """Build a signal, merging duplicate (freq, degree) keys and
         dropping zero amplitudes."""
-        merged: dict[tuple[float, int], complex] = {}
-        for amp, freq, degree in terms:
-            key = (float(freq), int(degree))
-            merged[key] = merged.get(key, 0.0) + complex(amp)
-        kept = tuple(
-            (amp, freq, degree)
-            for (freq, degree), amp in sorted(merged.items())
-            if amp != 0.0
-        )
-        return ExponentialSignal(kept)
+        amps, freqs, degrees = tuple(zip(*terms)) or ((), (), ())
+        return next(_signals(np.array([amps], dtype=complex), np.array(
+            freqs, dtype=float), np.array(degrees, dtype=int)))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -196,7 +259,7 @@ class ExponentialSignal:
     @cached_property
     def _stacked(self):
         """The terms as ``stack_terms`` arrays, built once per signal."""
-        return stack_terms([self])
+        return ExponentialSignal.from_terms(self.terms)._stacked
 
     def evaluate(self, t):
         """Evaluate the signal at scalar or array times."""
@@ -217,25 +280,23 @@ class ExponentialSignal:
 
 def stack_terms(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signals as amplitude rows over the union of their (freq, degree)
-    keys: ``(amps[len(signals), n], freqs[n], degrees[n])``.
-
-    Signals that share frequencies, like the two controls of a plan, then
-    share one kernel block per key.
-    """
-    keys = sorted({(f, d) for sig in signals for _, f, d in sig.terms})
-    index = {key: i for i, key in enumerate(keys)}
-    amps = np.zeros((len(signals), len(keys)), dtype=complex)
-    for row, sig in enumerate(signals):
-        for amp, f, d in sig.terms:
-            amps[row, index[(f, d)]] += amp
-    freqs = np.array([f for f, _ in keys], dtype=float)
-    degrees = np.array([d for _, d in keys], dtype=int)
-    return amps, freqs, degrees
+    keys, ``(amps[len(signals), n], freqs[n], degrees[n])``: the signals'
+    own ``_stacked`` arrays when their keys are the same, as the two
+    controls of a plan, which then share one kernel row per key."""
+    stacks = [s._stacked for s in signals] or [ExponentialSignal()._stacked]
+    if len({(f.tobytes(), d.tobytes()) for _, f, d in stacks}) == 1:
+        return (np.concatenate([a for a, _, _ in stacks])[:len(signals)],
+                *stacks[0][1:])
+    amps, freqs, degrees = (np.concatenate([s[i].ravel() for s in stacks])
+                            for i in range(3))
+    rows = np.repeat(np.arange(len(stacks)), [len(s[1]) for s in stacks])
+    return _merge(np.where(rows == np.arange(len(stacks))[:, None], amps, 0),
+                  freqs, degrees)
 
 
 def total_l2_norm_sq(signals, t0: float, t1: float) -> float:
     """``sum_s integral_{t0}^{t1} |s(t)|^2 dt`` in closed form, from one
-    Hermitian kernel over the union of the signals' terms."""
+    Hermitian kernel over the union of the signals' terms (``_integrate``)."""
     amps, freqs, degrees = stack_terms(signals)
-    kernel_amps = amps @ exp_kernel(freqs, None, t0, t1, degrees)
+    kernel_amps = _integrate(amps, freqs, degrees, t0, t1)
     return float(np.real(np.sum(kernel_amps * np.conj(amps))))

@@ -338,9 +338,11 @@ class TestSolveControl:
 
     @pytest.mark.parametrize("data", ["reachable", "generic", "two_controls"])
     def test_error_estimate_bounds_roundtrip(self, data, monkeypatch):
-        # the a-priori estimate eps * lambda_max * |s| / |rhs| bounds the
-        # achieved round-trip error; generic single-control data exceeds
-        # the limit, so with the limit in force it raises IllConditioned
+        # the a-priori estimate of the solve's and the check's rounding,
+        # eps (2 lambda_max |s| / |rhs| + (|initial| + |target|) / scale),
+        # bounds the achieved round-trip error; generic single-control data
+        # exceeds the limit, so with the limit in force it raises
+        # IllConditioned
         monkeypatch.setattr("ggkdv.hum.ERROR_EST_LIMIT", np.inf)
         rng = np.random.default_rng(61)
         N, T = 6, 1.0
@@ -528,6 +530,23 @@ class TestVerifyRoundtrip:
                    + evolve(params, target, -T))
         plan = solve_control(params, N, x0, T, initial, target, "both")
         assert verify_roundtrip(params, N, plan, initial, target) <= 1e-12
+
+    def test_degree_zero_check_and_cost_skip_the_complex_kernel(
+            self, monkeypatch):
+        # the Duhamel step and the cost of a plan take the real centred
+        # kernel, never exp_kernel
+        N, T = 6, 1.2 * critical_time(RESONANT)
+        rng = np.random.default_rng(14)
+        initial = unit_energy_state(RESONANT, N, rng)
+        target = unit_energy_state(RESONANT, N, rng)
+        plan = solve_control(RESONANT, N, 0.3, T, initial, target)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exp_kernel called")
+
+        monkeypatch.setattr("ggkdv.signals.exp_kernel", refuse)
+        assert verify_roundtrip(RESONANT, N, plan, initial, target) <= 1e-14
+        assert control_cost(plan) > 0
 
 
 class TestDuality:
@@ -725,6 +744,31 @@ def to_numpy(m):
     return np.array(m.tolist(), dtype=complex)
 
 
+def mp_roundtrip(mp, params, N, plan, initial, target):
+    """``verify_roundtrip`` at the working precision of ``mp``, of the
+    float plan and the float spectral data: each Duhamel integral
+    ``integral_0^T e^{i (mu - omega) t} dt`` and each phase e^{i omega T}
+    from the exact difference of the float frequencies."""
+    table = spectrum_table(params, N)
+    inputs = np.conj(trace_amplitudes(params, N, plan.x0)) * [
+        [1.0], [params.weight]]
+    T, err2 = mp.mpf(plan.T), 0
+    for j, (w, n2, c0, c1) in enumerate(zip(
+            table.omega.ravel(), table.norm2.ravel(),
+            initial.coeffs.ravel(), target.coeffs.ravel())):
+        forced = 0
+        for sig, inp in zip((plan.f, plan.g), inputs):
+            for amp, mu, _ in sig.terms if sig else ():
+                x = mp.mpf(mu) - mp.mpf(w)
+                forced += mp.mpc(amp) * mp.mpc(inp[j]) * (
+                    (mp.expj(x * T) - 1) / (1j * x) if x else T)
+        final = mp.expj(mp.mpf(w) * T) * (mp.mpc(c0)
+                                          + forced / (2 * mp.pi * n2))
+        err2 += 2 * mp.pi * n2 * abs(final - mp.mpc(c1)) ** 2
+    scale = max(h_norm(params, initial), h_norm(params, target), 1.0)
+    return float(mp.sqrt(err2)) / scale
+
+
 class TestMpmathReference:
     """Lambda, the solved seed and the control cost against a 40-digit
     reference built from (a, c, d, r) in mpmath, with ``mp.lu_solve`` for
@@ -732,7 +776,9 @@ class TestMpmathReference:
     within 4.7e-15 of its largest diagonal entry (resonant N=4, f_only);
     the seed within 1.4e-12 of its largest entry at generic N=4 and 8
     (condition number 1.25e6 and 1.29e6) and 2.3e-15 at resonant N=4
-    (3.4); the cost within 1.7e-11 and 3.8e-16 relative."""
+    (3.4); the cost within 1.7e-11 and 3.8e-16 relative.  The round trip
+    of the float plan against its 40-digit forced evolution
+    (``mp_roundtrip``)."""
 
     CASES = [("generic", 2, 1.0), ("generic", 4, 1.0),
              ("resonant", 2, 1.2 * critical_time(RESONANT)),
@@ -773,3 +819,26 @@ class TestMpmathReference:
             # the exact phases, resolve the seed to 1.4e-12 here
             assert seed_err <= 1e-11 * np.max(np.abs(s))
         assert abs(control_cost(plan) - cost) <= cost_tol * cost
+
+    @pytest.mark.parametrize("preset, N, T", CASES + [
+        ("generic", 8, 1.0), ("resonant", 8, 1.2 * critical_time(RESONANT))])
+    def test_roundtrip(self, preset, N, T):
+        # the round trip the plan achieves, at 40 digits, is within its
+        # error estimate, and the float check is within the share of it
+        # that the check's own rounding takes; measured: 2.3-2.7e-16
+        # resonant, where free-flow phases taken as exp(1j * omega * T)
+        # gave 3.3e-14 and 1.8e-13 at N=4 and 8 while their check read
+        # 4e-16, and 2.4e-12 to 2.0e-11 generic
+        mp = pytest.importorskip("mpmath")
+        params = PRESETS[preset]
+        rng = np.random.default_rng(N)
+        initial = unit_energy_state(params, N, rng)
+        target = unit_energy_state(params, N, rng)
+        plan = solve_control(params, N, 0.9365, T, initial, target)
+        err = verify_roundtrip(params, N, plan, initial, target)
+        with mp.workdps(40):
+            exact = mp_roundtrip(mp, params, N, plan, initial, target)
+        assert exact <= plan.error_estimate
+        assert abs(err - exact) <= plan.error_estimate / 2
+        if preset == "resonant":
+            assert exact <= 1e-15

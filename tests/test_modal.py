@@ -25,6 +25,7 @@ from ggkdv.signals import ExponentialSignal
 from ggkdv.spectral import (
     PRESETS,
     PhysicalParams,
+    critical_time,
     spectrum_table,
     symbol_matrix,
 )
@@ -148,6 +149,22 @@ class TestEvolve:
         assert np.max(np.abs(a.coeffs - b.coeffs)) \
             <= bound * np.max(np.abs(state.coeffs))
 
+    def test_exact_phases_against_mpmath(self):
+        # at resonant N=64, T = 1.2 T0, max|omega T| is 7.9e6 rad; phases
+        # taken as exp(1j * omega * T) were off by up to 4.4e-10 and the
+        # state by 1.1e-10 in relative H-norm
+        mp = pytest.importorskip("mpmath")
+        N = 64
+        T = 1.2 * critical_time(ONES)
+        state = ModalState.random(N, np.random.default_rng(64))
+        omega = spectrum_table(ONES, N).omega
+        with mp.workdps(40):
+            phases = np.array([[complex(mp.expj(mp.mpf(w) * mp.mpf(T)))
+                                for w in row] for row in omega])
+        want = ModalState(N, state.coeffs * phases)
+        err = h_norm(ONES, evolve(ONES, state, T) - want)
+        assert err <= 1e-14 * h_norm(ONES, state)
+
     def test_inverse(self):
         rng = np.random.default_rng(5)
         s = ModalState.random(8, rng)
@@ -256,7 +273,7 @@ class TestForcedEvolve:
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-9
 
     def test_resonant_forcing_against_oracle(self):
-        # forcing exactly at a system frequency exercises the series branch
+        # forcing exactly at a system frequency takes the kernel at x = 0
         N, x0, T = 3, 0.0, 2.0
         table = spectrum_table(GENERIC, N)
         mu = float(table.omega[0, 2 + N])
@@ -265,6 +282,19 @@ class TestForcedEvolve:
         got = forced_evolve(GENERIC, N, s, f, None, x0, T)
         want = ivp_forced_evolve(GENERIC, N, s, f, None, x0, T)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-9
+
+    def test_zero_frequency_forcing_at_huge_horizon(self):
+        # the Duhamel integral at frequency 0 is T itself: the series of
+        # the complex kernel squared T and read NaN at T = 1e200
+        N, T = 3, 1e200
+        f = ExponentialSignal(((1.0, 0.0, 0),))
+        with np.errstate(all="raise"):
+            got = forced_evolve(GENERIC, N, ModalState.zeros(N), f, None,
+                                0.0, T)
+        assert np.all(np.isfinite(got.coeffs))
+        table = spectrum_table(GENERIC, N)
+        want = table.z[:, N, 0] * T / (2 * np.pi * table.norm2[:, N])
+        assert np.allclose(got.coeffs[:, N], want, rtol=1e-14)
 
     def test_degree_one_forcing_against_oracle(self):
         N, T = 3, 1.0

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ggkdv import signals
 from ggkdv.signals import (
     ExponentialSignal,
+    _centred_matrix,
+    _integrate,
+    _phase,
+    _signals,
     exp_kernel,
     exp_poly_integral,
+    stack_terms,
     total_l2_norm_sq,
 )
 from ggkdv.spectral import PRESETS, critical_time, spectrum_table
@@ -316,3 +323,145 @@ class TestKernelSymmetries:
                   exp_kernel(1j * 0.5 - omega, None, 0.0, 2.0)):
             assert np.array_equal(K, K.conj().T)
             assert np.array_equal(K[np.ix_(swap, swap)], K.conj())
+
+
+def dict_merge(terms):
+    """The dict merge that signals were built by before the array merge:
+    amplitudes summed per (freq, degree) key in the order given, from 0.0,
+    zeros dropped, keys sorted."""
+    merged = {}
+    for amp, freq, degree in terms:
+        key = (float(freq), int(degree))
+        merged[key] = merged.get(key, 0.0) + complex(amp)
+    return tuple((amp, freq, degree)
+                 for (freq, degree), amp in sorted(merged.items())
+                 if amp != 0.0)
+
+
+def dict_union(signals_):
+    """``stack_terms`` as it was built before, over the signals' terms."""
+    keys = sorted({(f, d) for sig in signals_ for _, f, d in sig.terms})
+    index = {key: i for i, key in enumerate(keys)}
+    amps = np.zeros((len(signals_), len(keys)), dtype=complex)
+    for row, sig in enumerate(signals_):
+        for amp, f, d in sig.terms:
+            amps[row, index[(f, d)]] += amp
+    return amps, np.array([f for f, _ in keys]), np.array([d for _, d in keys])
+
+
+def bits(terms):
+    """Terms as exact strings: -0.0 and 0.0 differ."""
+    return [(complex(a).real.hex(), complex(a).imag.hex(), float(f).hex(),
+             int(d)) for a, f, d in terms]
+
+
+# few distinct values, so that keys repeat and sums cancel to (-)0.0
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
+TERMS = st.lists(st.tuples(st.builds(complex, PARTS, PARTS),
+                           st.sampled_from([0.0, -0.0, 1.5, -2.0, 7.0]),
+                           st.integers(0, 1)), max_size=12)
+
+
+class TestArrayMerge:
+    """Signals built from arrays by one vectorized merge carry the terms of
+    the dict merge bit for bit, and keep their stacked arrays."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(TERMS)
+    def test_from_terms_matches_dict_merge(self, terms):
+        sig = ExponentialSignal.from_terms(terms)
+        assert bits(sig.terms) == bits(dict_merge(terms))
+        amps, freqs, degrees = sig._stacked
+        assert bits(zip(amps[0], freqs, degrees)) == bits(sig.terms)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.tuples(PARTS, PARTS, PARTS, PARTS,
+                              st.sampled_from([0.0, -0.0, 1.5, -2.0])),
+                    min_size=1, max_size=10))
+    def test_rows_and_stack_terms(self, cols):
+        # two amplitude rows over one frequency array, as the controls of
+        # a plan: one merge, then per row the dict merge's terms; stacked,
+        # the shortcut over shared keys and the general union both give
+        # the dict union's arrays
+        re0, im0, re1, im1, freqs = map(np.array, zip(*cols))
+        amps = np.empty((2, len(freqs)), dtype=complex)
+        amps.real, amps.imag = [re0, re1], [im0, im1]  # keeps -0.0
+        degrees = np.zeros(len(freqs), dtype=int)
+        sigs = list(_signals(amps, freqs, degrees))
+        for sig, row in zip(sigs, amps):
+            assert bits(sig.terms) == bits(dict_merge(zip(row, freqs,
+                                                          degrees)))
+        raw = [ExponentialSignal(sig.terms) for sig in sigs]
+        want = dict_union(sigs)
+        for got in (stack_terms(sigs), stack_terms(raw),
+                    stack_terms(sigs + [ExponentialSignal()])):
+            assert np.array_equal(got[0][:2], want[0])
+            assert bits(zip(got[0][0], got[1], got[2])) \
+                == bits(zip(want[0][0], want[1], want[2]))
+            assert bits(zip(got[0][1], got[1], got[2])) \
+                == bits(zip(want[0][1], want[1], want[2]))
+
+    def test_shared_keys_reuse_the_arrays(self):
+        amps = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=complex)
+        freqs = np.array([2.0, -1.0, 2.0])
+        f, g = _signals(amps, freqs, np.zeros(3, dtype=int))
+        assert f.terms == ((2.0 + 0j, -1.0, 0), (4.0 + 0j, 2.0, 0))
+        stacked, union, _ = stack_terms([f, g])
+        assert union is f._stacked[1]
+        assert np.array_equal(stacked, [[2.0, 4.0], [5.0, 10.0]])
+        assert stack_terms([])[0].shape == (0, 0)
+
+
+class TestCentredKernel:
+    """The real kernel K_h(x) = 2 sin(x h) / x of the degree-0 integrals,
+    by the addition formula from exact phases, against 40-digit mpmath."""
+
+    ROWS = np.array([0.0, 1e-9, 3.7, -3.7, 2e5 + 0.25, -1.3e6, 40.0])
+    COLS = np.array([0.0, -1e-9, -3.7 + 1e-12, 5.5, 1e6, 1.3e6 + 1e-3])
+
+    @pytest.mark.parametrize("h", [0.8, -0.8, 60.0, -1e-7])
+    def test_against_mpmath(self, h):
+        # rows != cols, phases |x h| up to 9e7, x near and at 0, negative h
+        # (a backward Duhamel step); within 1.8e-16 of the envelope
+        # min(2 |h|, 2 / |x|) measured
+        mp = pytest.importorskip("mpmath")
+        assert np.max(np.abs(self.ROWS)) * 0.8 > 1e5
+        for rows, cols, op in ((self.ROWS, self.COLS, np.add),
+                               (self.ROWS, None, np.subtract)):
+            w = rows if cols is None else np.concatenate([rows, cols])
+            K = _centred_matrix(rows, cols, h, _phase(w, h), [op])[0]
+            cols = rows if cols is None else cols
+            sign = 1 if op is np.add else -1
+            with mp.workdps(40):
+                for i, j in np.ndindex(K.shape):
+                    x = mp.mpf(rows[i]) + sign * mp.mpf(cols[j])
+                    want = 2 * mp.sin(x * h) / x if x else 2 * mp.mpf(h)
+                    envelope = 2 / max(abs(x), 1 / mp.mpf(abs(h)))
+                    assert abs(K[i, j] - want) <= 1e-15 * envelope
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 1.7), (0.4, 2.1), (0.0, -1.2),
+                                        (-1.5, 0.7)])
+    def test_integrate_matches_exp_kernel(self, t0, t1):
+        # the degree-0 path against the complex kernel it replaces, in the
+        # Hermitian mode (costs) and against other columns (Duhamel steps)
+        rng = np.random.default_rng(30)
+        freqs = rng.uniform(-40, 40, 50)
+        freqs[3] = freqs[2] + 1e-9
+        freqs[4] = 0.0
+        cols = rng.uniform(-40, 40, 17)
+        cols[0] = -freqs[5]
+        amps = rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))
+        degrees = np.zeros(50, dtype=int)
+        for c in (None, cols):
+            want = amps @ exp_kernel(freqs, c, t0, t1)
+            got = _integrate(amps, freqs, degrees, t0, t1, c)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_huge_horizon_stays_finite(self):
+        # the series of exp_kernel squares T: at T = 1e160 its zero
+        # frequency read nan; the centred kernel reads 2h = T
+        with np.errstate(all="raise"):
+            assert ExponentialSignal(((1, 0.0, 0),)).l2_norm_sq(0, 1e160) \
+                == 1e160
