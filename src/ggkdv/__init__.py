@@ -16,7 +16,7 @@ from .hum import (ControlPlan, HumSystem, assemble_lambda, bilinear_pairing,
                   solve_control, verify_roundtrip)
 from .modal import (GridFunction, ModalState, energy, evolve, forced_evolve,
                     h_norm, project, reconstruct, trace, u_mean, v_mean)
-from .signals import ExponentialSignal, exp_poly_integral
+from .signals import ExponentialSignal
 from .spectral import (PRESETS, Branch, GapReport, PhysicalParams,
                        SpectrumTable, critical_time, gap_report,
                        resonance_check, spectrum_table, symbol_matrix,

@@ -135,9 +135,9 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(C+, C-): the blocks of the real form ``sum_c a_c a_c^T *
     K(omega_i - omega_j)`` in the real-field basis, for amplitude rows even
     and frequencies odd in k; C+ runs over [branch, k] for k >= 0, C- for
-    k > 0.  Their kernels K(omega_i -+ omega_j) come from
-    ``_parity_kernels``.  Raises ValueError for a half-window h at which
-    they overflow."""
+    k > 0.  Their kernels K(omega_i -+ omega_j) of the real centred kernel
+    K come from one exact phase per frequency (``signals._centred_matrix``).
+    Raises ValueError for a half-window h at which they overflow."""
     N = (len(omega) // 2 - 1) // 2
     w = omega.reshape(2, 2 * N + 1)[:, N:].ravel()
     a = amps.reshape(len(amps), 2, 2 * N + 1)[:, :, N:].copy()
@@ -147,7 +147,8 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
     # plus holds K(omega_i - omega_j) until it becomes C+; C- drops the
     # rows and columns of k = 0 on both branches
     with np.errstate(over="ignore", invalid="ignore"):
-        plus, summ = _parity_kernels(w, h)
+        plus, summ = _centred_matrix(w, None, h, _phase(w, h),
+                                     (np.subtract, np.add))
         A = np.multiply.outer(a[0], a[0])
         for row in a[1:]:
             A += np.multiply.outer(row, row)
@@ -163,13 +164,6 @@ def _parity_blocks(amps, omega, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _positive(M, N: int):
     """The entries of M over [branch, k], k >= 0, at k > 0, as a view."""
     return M.reshape(2, N + 1, 2, N + 1)[:, 1:, :, 1:]
-
-
-def _parity_kernels(w, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``K(w_i - w_j)`` and ``K(w_i + w_j)`` of the real centred kernel K,
-    from one exact phase per frequency (``signals._centred_matrix``)."""
-    return tuple(_centred_matrix(w, None, h, _phase(w, h),
-                                 (np.subtract, np.add)))
 
 
 def _block_eigh(plus, minus) -> tuple[np.ndarray, np.ndarray]:

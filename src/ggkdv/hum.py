@@ -146,13 +146,16 @@ def assemble_lambda(params: PhysicalParams, N: int, x0: float, T: float,
     The quadratic form of a seed equals ``integral_0^T`` of the squared
     observed adjoint traces; in single-control modes only the matching
     trace contributes and the structural k=0 kernel direction is recorded.
-    Raises ValueError for a horizon at which the closed forms overflow.
+    Raises ValueError for a horizon T >= sqrt(float max), past which the
+    error estimate of ``solve_control`` understates the round trip.
     """
     if mode not in _CHANNELS:
         raise ValueError(f"unknown mode {mode!r}")
     if not T > 0:
         raise ValueError("horizon must be positive")
-    if not T < math.sqrt(np.finfo(float).max):  # T^2, as ``exp_kernel`` takes
+    # the solution s scales as 1/T, and the squares that np.linalg.norm(s)
+    # sums for the error estimate underflow past this T
+    if not T < math.sqrt(np.finfo(float).max):
         raise ValueError(f"horizon T={T:g} overflows the control operator")
     table = spectrum_table(params, N)
     rows = trace_amplitudes(params, N, 0.0, adjoint=True).real[_CHANNELS[mode]]

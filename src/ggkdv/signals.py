@@ -6,14 +6,15 @@ Traces, controls and Gram entries all live in the class
 
 so every time integral is ``integral t^m e^{i z t} dt`` with m = d_j + d_k
 <= 2 and z a frequency sum or difference, moved off the real axis by 2 i w
-under a weight e^{-2 w t}.  ``exp_kernel`` lays it out as the outer-sum
-matrix K[i, j] (Hermitian forms: K[i, j] = I(z_i - conj(z_j), m_i + m_j))
-behind weighted Gramians, bilinear integrals and degree > 0 terms, with a
-power series near resonance |z| -> 0.  Degree-0 terms at real frequencies,
-the controls' cost and Duhamel step, take the real centred kernel instead:
-over an interval of centre c and half-length h, ``integral e^{ixt} dt =
-e^{ixc} K_h(x)``, K_h(x) = 2 sin(x h) / x (``_integrate``).  Both build
-their entries by real products from one exact phase per frequency.
+under a weight e^{-2 w t}.  Every integral of an ``ExponentialSignal`` (norm,
+cost, Duhamel step, bilinear integral) goes through ``_integrate``.  At
+degree 0 and real frequencies it takes the real centred kernel: over an
+interval of centre c and half-length h, ``integral e^{ixt} dt = e^{ixc}
+K_h(x)``, K_h(x) = 2 sin(x h) / x.  ``exp_kernel`` lays the integral out as
+the outer-sum matrix K[i, j] (Hermitian forms: K[i, j] = I(z_i - conj(z_j),
+m_i + m_j)), with a power series near resonance |z| -> 0; it serves the
+weighted Gramian Lambda_w, terms of degree > 0 and the Newton Gram.  Both
+build their entries by real products from one exact phase per frequency.
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ _SERIES_TERMS = 40
 # its complex temporaries stay under 128 KiB, above which malloc maps (and
 # faults in) fresh pages for each.
 _BLOCK_ENTRIES = 7680
-
-
-def exp_poly_integral(z, m, t0: float, t1: float):
-    """Exact ``integral_{t0}^{t1} t^m e^{i z t} dt`` for complex z and
-    integer m >= 0, elementwise over the broadcast of ``z`` and ``m``
-    (``exp_kernel`` with one zero column).  Scalar inputs return a Python
-    complex.
-    """
-    z, m = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                               np.asarray(m, dtype=int))
-    out = exp_kernel(z.ravel(), [0.0], t0, t1, m.ravel()).reshape(z.shape)
-    return complex(out) if out.ndim == 0 else out
 
 
 def _closed_form(w, m, t0, t1, e0, e1):
@@ -101,17 +90,17 @@ def _factors(z, t0: float, t1: float) -> np.ndarray:
 
 def exp_kernel(z_rows, z_cols, t0: float, t1: float, m_rows=0,
                m_cols=0) -> np.ndarray:
-    """The matrix K[i, j] = exp_poly_integral(z_rows[i] + z_cols[j],
-    m_rows[i] + m_cols[j], t0, t1) or, when ``z_cols`` is None, the
-    Hermitian K[i, j] = exp_poly_integral(z_rows[i] - conj(z_rows[j]),
-    m_rows[i] + m_rows[j], t0, t1).  ``_integrals`` builds e^{i(z_i +
-    z_j)t} from each frequency's exact phase and decay by real products
-    (complex ones may fuse a multiply-add), so K[j, i] = conj K[i, j] and,
-    for frequencies odd under a swap P of rows and columns, K[P, P] = conj
-    K, bit for bit.  K is built in blocks of whole rows, at most
-    _BLOCK_ENTRIES entries (or one row) each; in the Hermitian mode only on
-    and above the blocks' diagonal (0.59 n^2 at n = 258, N = 64), K below
-    being its conjugate transpose.
+    """The matrix K[i, j] = I(z_rows[i] + z_cols[j], m_rows[i] + m_cols[j])
+    of I(z, m) = ``integral_{t0}^{t1} t^m e^{i z t} dt`` or, when ``z_cols``
+    is None, the Hermitian K[i, j] = I(z_rows[i] - conj(z_rows[j]),
+    m_rows[i] + m_rows[j]); for Lambda_w, degree > 0 terms and the Newton
+    Gram.  ``_integrals`` builds e^{i(z_i + z_j)t} from each frequency's
+    exact phase and decay by real products (complex ones may fuse a
+    multiply-add), so K[j, i] = conj K[i, j] and, for frequencies odd under
+    a swap P of rows and columns, K[P, P] = conj K, bit for bit.  K is
+    built in blocks of whole rows, at most _BLOCK_ENTRIES entries (or one
+    row) each; in the Hermitian mode only on and above the blocks' diagonal
+    (0.59 n^2 at n = 258, N = 64), K below being its conjugate transpose.
     """
     z_rows, m_rows = np.asarray(z_rows), np.asarray(m_rows)
     hermitian = z_cols is None
@@ -199,14 +188,15 @@ def _centred_matrix(rows, cols, h: float, cis, ops) -> list[np.ndarray]:
     return out
 
 
-def _integrate(amps, freqs, degrees, t0: float, t1: float, cols=None):
-    """``amps @ exp_kernel(freqs, cols, t0, t1, degrees)``.  At degree 0,
-    K[i, j] = e^{i x c} K_h(x), x = mu_i + zeta_j (mu = freqs, zeta = cols
-    or -mu), c and h the centre and half-length of [t0, t1]: e^{i mu c}
-    goes onto the amplitudes, whose real and imaginary parts take one real
-    product with K_h, and e^{i zeta c} onto its columns."""
-    if degrees.any():
-        return amps @ exp_kernel(freqs, cols, t0, t1, degrees)
+def _integrate(amps, freqs, degrees, t0: float, t1: float, cols=None,
+               col_degrees=0):
+    """``amps @ exp_kernel(freqs, cols, t0, t1, degrees, col_degrees)``.
+    At degree 0, K[i, j] = e^{i x c} K_h(x), x = mu_i + zeta_j (mu = freqs,
+    zeta = cols or -mu), c and h the centre and half-length of [t0, t1]:
+    e^{i mu c} goes onto the amplitudes, whose real and imaginary parts take
+    one real product with K_h, and e^{i zeta c} onto its columns."""
+    if degrees.any() or np.count_nonzero(col_degrees):
+        return amps @ exp_kernel(freqs, cols, t0, t1, degrees, col_degrees)
     c, h, hermitian = (t0 + t1) / 2, (t1 - t0) / 2, cols is None
     w = freqs if hermitian else np.concatenate([freqs, cols])
     cis = _phase(w, h)
@@ -275,7 +265,7 @@ class ExponentialSignal:
         """Unconjugated ``integral s(t) o(t) dt`` in closed form (directed)."""
         a1, f1, d1 = self._stacked
         a2, f2, d2 = other._stacked
-        return complex(a1[0] @ exp_kernel(f1, f2, t0, t1, d1, d2) @ a2[0])
+        return complex(_integrate(a1, f1, d1, t0, t1, f2, d2)[0] @ a2[0])
 
 
 def stack_terms(signals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

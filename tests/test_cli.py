@@ -208,7 +208,8 @@ class TestErrors:
         ("control", {"initial": [[0.0, 0.0]] * 25 + ["x"]}),
         ("observe", {"preset": ["generic"]}),
         ("observe", {"preset": {"a": 1}}),
-        # the closed-form control operator overflows
+        # the horizon guard: past sqrt(float max) the error estimate's
+        # norm of the solution, which scales as 1/T, underflows
         ("control", {"N": 6, "T": 1e200}),
         ("observe", {"preset": None, "a": math.inf}),
         ("spectrum", {"preset": None, "d": math.nan}),

@@ -14,16 +14,21 @@ from ggkdv.gram import (
     observability_constants,
 )
 from ggkdv.gram import (COINCIDENT_TOL, _centred_kernel, _cluster,
-                        _newton_gram, _parity_blocks, _parity_kernels,
-                        _structural_kernel)
+                        _newton_gram, _parity_blocks, _structural_kernel)
 from ggkdv.modal import ModalState, energy, reconstruct, trace
-from ggkdv.signals import exp_kernel, exp_poly_integral
+from ggkdv.signals import _centred_matrix, _phase, exp_kernel
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
                             spectrum_table, trace_amplitudes)
 from ggkdv.stabilize import _weighted_gramian
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
+
+
+def integral(x, t0, t1):
+    """``integral_{t0}^{t1} e^{i x t} dt`` at each entry of the array x, as
+    ``exp_kernel`` with one zero column."""
+    return exp_kernel(x.ravel(), [0.0], t0, t1).reshape(x.shape)
 
 
 def _trace_amplitudes(params, N, x0):
@@ -242,8 +247,7 @@ class TestObservabilityConstants:
         N, x0 = 6, 0.0
         win = ObservationWindow(0.0, 1.0)
         u_amp, v_amp, omega, ew, labels = _trace_amplitudes(GENERIC, N, x0)
-        base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
-                                 win.t0, win.t1)
+        base = integral(omega[:, None] - omega[None, :], win.t0, win.t1)
         O = (np.outer(u_amp, np.conj(u_amp))
              + np.outer(v_amp, np.conj(v_amp))) * base
         O = (O + O.conj().T) / 2
@@ -267,8 +271,7 @@ class TestObservabilityConstants:
         z[1, :, :] = [2 * a * c, 1 - c - root]
         norm2 = z[:, :, 0] ** 2 + GENERIC.weight * z[:, :, 1] ** 2
         omega = table.omega.ravel()
-        base = exp_poly_integral(omega[:, None] - omega[None, :], 0,
-                                 win.t0, win.t1)
+        base = integral(omega[:, None] - omega[None, :], win.t0, win.t1)
         u_amp, v_amp = z[:, :, 0].ravel(), z[:, :, 1].ravel()
         O = (np.outer(u_amp, u_amp) + np.outer(v_amp, v_amp)) * base
         O = (O + O.conj().T) / 2
@@ -467,8 +470,7 @@ def observation_form(params, N, x0, window, mode):
     amplitudes: the Hermitian O with ``c^H O c`` the observed energy of
     the traces ``sum_j c_j amps_j e^{i omega_j t}`` of a state c."""
     u_amp, v_amp, omega, _, _ = _trace_amplitudes(params, N, x0)
-    base = exp_poly_integral(omega[None, :] - omega[:, None], 0,
-                             window.t0, window.t1)
+    base = integral(omega[None, :] - omega[:, None], window.t0, window.t1)
     O = sum(np.outer(np.conj(amp), amp) * base
             for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
             if mode in ("both", only))
@@ -539,11 +541,10 @@ class TestRealForm:
 
 def dense_real_form(params, N, length, mode):
     """The real folded form S R S over the centred window as one dense
-    matrix, its entries from ``exp_poly_integral`` over [0, h]."""
+    matrix, its entries from ``integral`` over [0, h]."""
     u_amp, v_amp, omega, ew, _ = _trace_amplitudes(params, N, 0.0)
     h = length / 2
-    base = 2 * exp_poly_integral(omega[:, None] - omega[None, :], 0,
-                                 0.0, h).real
+    base = 2 * integral(omega[:, None] - omega[None, :], 0.0, h).real
     R = sum(np.outer(amp.real, amp.real) * base
             for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
             if mode in ("both", only))
@@ -599,18 +600,19 @@ class TestNewtonMap:
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_kernel_built_once_without_left(self, monkeypatch):
-        lefts = []
+        # one Hermitian kernel, mapped in place to the Newton basis
+        columns = []
         kernel = gram.exp_kernel
 
         def spy(*args, **kw):
-            lefts.append(kw.get("left", args[6] if len(args) > 6 else None))
+            columns.append(args[1])
             return kernel(*args, **kw)
 
         monkeypatch.setattr(gram, "exp_kernel", spy)
         omega = np.array([-2.0, 0.0, 0.5 * COINCIDENT_TOL, 3.0, 3.25, 7.0])
         _newton_gram(omega, np.array([False, True, False, True, False]),
                      ObservationWindow(0.0, 1.0))
-        assert lefts == [None]
+        assert columns == [None]
 
 
 class TestParityForm:
@@ -625,7 +627,7 @@ class TestParityForm:
         omega = spectrum_table(PRESETS[preset], N).omega[:, N:].ravel()
         h = length / 2
         for delta in (omega[:, None] - omega, omega[:, None] + omega):
-            ref = 2 * exp_poly_integral(delta, 0, 0.0, h).real
+            ref = 2 * integral(delta, 0.0, h).real
             assert np.max(np.abs(_centred_kernel(delta, h) - ref)) \
                 <= 1e-15 * 2 * h
 
@@ -638,10 +640,11 @@ class TestParityForm:
         # 7.2e-15 and 9.8e-15 * 2h at N=128
         omega = spectrum_table(PRESETS[preset], N).omega[:, N:].ravel()
         h = length / 2
-        kernels = _parity_kernels(omega, h)
+        kernels = _centred_matrix(omega, None, h, _phase(omega, h),
+                                  (np.subtract, np.add))
         for K, x in zip(kernels, (omega[:, None] - omega,
                                   omega[:, None] + omega)):
-            ref = 2 * exp_poly_integral(x, 0, 0.0, h).real
+            ref = 2 * integral(x, 0.0, h).real
             assert np.max(np.abs(K - ref)) <= 1e-15 * 2 * h
 
     def test_parity_kernels_long_window(self):
@@ -651,7 +654,9 @@ class TestParityForm:
         mp = pytest.importorskip("mpmath")
         N, h = 16, 5e19
         omega = spectrum_table(RESONANT, N).omega[:, N:].ravel()
-        for K, sign in zip(_parity_kernels(omega, h), (-1, 1)):
+        kernels = _centred_matrix(omega, None, h, _phase(omega, h),
+                                  (np.subtract, np.add))
+        for K, sign in zip(kernels, (-1, 1)):
             assert np.all(np.isfinite(K))
             for i, j in np.ndindex(K.shape):
                 with mp.workdps(60):

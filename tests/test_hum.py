@@ -533,12 +533,13 @@ class TestVerifyRoundtrip:
 
     def test_degree_zero_check_and_cost_skip_the_complex_kernel(
             self, monkeypatch):
-        # the Duhamel step and the cost of a plan take the real centred
-        # kernel, never exp_kernel
+        # the Duhamel step, the cost of a plan and the duality residual's
+        # bilinear integrals take the real centred kernel, never exp_kernel
         N, T = 6, 1.2 * critical_time(RESONANT)
         rng = np.random.default_rng(14)
         initial = unit_energy_state(RESONANT, N, rng)
         target = unit_energy_state(RESONANT, N, rng)
+        seed = unit_energy_state(RESONANT, N, rng)
         plan = solve_control(RESONANT, N, 0.3, T, initial, target)
 
         def refuse(*args, **kwargs):
@@ -547,6 +548,8 @@ class TestVerifyRoundtrip:
         monkeypatch.setattr("ggkdv.signals.exp_kernel", refuse)
         assert verify_roundtrip(RESONANT, N, plan, initial, target) <= 1e-14
         assert control_cost(plan) > 0
+        assert duality_residual(RESONANT, N, plan.f, plan.g, 0.3, initial,
+                                seed, T) <= 1e-14
 
 
 class TestDuality:

@@ -12,7 +12,6 @@ from ggkdv.signals import (
     _phase,
     _signals,
     exp_kernel,
-    exp_poly_integral,
     stack_terms,
     total_l2_norm_sq,
 )
@@ -28,10 +27,14 @@ def quad_integral(func, t0, t1):
 
 
 class TestExpPolyIntegral:
+    """``exp_kernel`` with one zero column: ``integral t^m e^{i z t} dt``
+    at each row's z and m."""
+
     def test_zero_frequency_monomials(self):
-        assert exp_poly_integral(0.0, 0, 0.0, 2.0) == pytest.approx(2.0)
-        assert exp_poly_integral(0.0, 1, 0.0, 2.0) == pytest.approx(2.0)
-        assert exp_poly_integral(0.0, 2, 1.0, 2.0) == pytest.approx(7.0 / 3.0)
+        got = exp_kernel([0.0, 0.0], [0.0], 0.0, 2.0, [0, 1])[:, 0]
+        assert got == pytest.approx([2.0, 2.0])
+        got = exp_kernel([0.0], [0.0], 1.0, 2.0, 2)[0, 0]
+        assert got == pytest.approx(7.0 / 3.0)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_against_quadrature(self, m):
@@ -40,54 +43,54 @@ class TestExpPolyIntegral:
             z = rng.uniform(-20, 20)
             t0, t1 = sorted(rng.uniform(-3, 3, size=2))
             want = quad_integral(lambda t: t**m * np.exp(1j * z * t), t0, t1)
-            got = exp_poly_integral(z, m, t0, t1)
+            got = exp_kernel([z], [0.0], t0, t1, m)[0, 0]
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-6, 1e-4, 0.3])
     def test_near_resonant_series_regime(self, z):
         # tiny frequencies hit the power-series branch; compare to the
         # limit expansion integral t e^{izt} ~ t + iz t^2 + ...
-        got = exp_poly_integral(z, 0, 0.0, 1.0)
+        got = exp_kernel([z], [0.0], 0.0, 1.0)[0, 0]
         want = quad_integral(lambda t: np.exp(1j * z * t), 0.0, 1.0)
         assert abs(got - want) <= 1e-13
 
     def test_complex_frequency(self):
         # z with positive imaginary part decays: used by weighted Gramians
         z = 3.0 + 2.0j
-        got = exp_poly_integral(z, 1, 0.0, 2.0)
+        got = exp_kernel([z], [0.0], 0.0, 2.0, 1)[0, 0]
         want = quad_integral(lambda t: t * np.exp(1j * z * t), 0.0, 2.0)
         assert abs(got - want) <= 1e-10
 
     def test_long_horizon_no_overflow(self):
         # the series entry's placeholder must not overflow e^{w t1}
         with np.errstate(all="raise"):
-            got = exp_poly_integral(np.array([0.0, 1.0]), 0, 0.0, 1e20)
+            got = exp_kernel([0.0, 1.0], [0.0], 0.0, 1e20)[:, 0]
         assert got[0] == 1e20
         assert abs(got[1]) <= 2.0
 
     def test_directed_reversal(self):
         z = 2.7
-        fwd = exp_poly_integral(z, 0, 0.0, 1.5)
-        bwd = exp_poly_integral(z, 0, 1.5, 0.0)
+        fwd = exp_kernel([z], [0.0], 0.0, 1.5)[0, 0]
+        bwd = exp_kernel([z], [0.0], 1.5, 0.0)[0, 0]
         assert fwd == pytest.approx(-bwd)
 
 
 class TestExpIntegralMatrix:
-    """The array form of ``exp_poly_integral`` over frequency matrices."""
+    """``exp_kernel`` with one zero column over many rows at once."""
 
     def test_matches_scalar(self):
         rng = np.random.default_rng(1)
         delta = rng.uniform(-30, 30, size=(4, 5))
         delta[0, 0] = 0.0
         delta[1, 2] = 1e-10
-        out = exp_poly_integral(delta, 0, 0.0, 2.0)
+        out = exp_kernel(delta.ravel(), [0.0], 0.0, 2.0).reshape(4, 5)
         for i in range(4):
             for j in range(5):
-                want = exp_poly_integral(delta[i, j], 0, 0.0, 2.0)
+                want = exp_kernel([delta[i, j]], [0.0], 0.0, 2.0)[0, 0]
                 assert abs(out[i, j] - want) <= 1e-12
 
     def test_zero_gives_length(self):
-        out = exp_poly_integral(np.zeros((2, 2)), 0, 1.0, 4.0)
+        out = exp_kernel(np.zeros(4), [0.0], 1.0, 4.0)
         assert np.allclose(out, 3.0)
 
 
@@ -153,6 +156,14 @@ class TestExponentialSignal:
         s2 = ExponentialSignal.from_terms(terms2)
         want = quad_integral(lambda t: s1.evaluate(t) * s2.evaluate(t), 0.0, 2.0)
         assert abs(s1.bilinear_integral(s2, 0.0, 2.0) - want) <= 1e-9
+        # every degree pair, off the origin: the degrees of both signals
+        # enter the kernel
+        for d1, d2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            s1 = ExponentialSignal.from_terms([(a, f, d1) for a, f, _ in terms1])
+            s2 = ExponentialSignal.from_terms([(a, f, d2) for a, f, _ in terms2])
+            want = quad_integral(lambda t: s1.evaluate(t) * s2.evaluate(t),
+                                 0.3, 2.0)
+            assert abs(s1.bilinear_integral(s2, 0.3, 2.0) - want) <= 1e-9
 
     def test_norm_nonnegative_and_zero_only_for_zero(self):
         sig = ExponentialSignal(((1.0, 5.0, 0), (-1.0, 5.0 + 1e-3, 0)))
@@ -184,16 +195,14 @@ class TestMpmathOracle:
                 for k in m:
                     want[idx + (k,)] = complex(mp.quad(
                         lambda t: t**k * mp.expj(zz * t), nodes))
+        zz, mm = np.broadcast_arrays(z[:, :, None], m)
         for a, b, sign in ((t0, t1, 1), (t1, t0, -1)):
-            got = exp_poly_integral(z[:, :, None], m, a, b)
-            assert got.shape == want.shape
-            rel = np.abs(got - sign * want) / np.abs(want)
+            got = exp_kernel(zz.ravel(), [0.0], a, b, mm.ravel())
+            rel = np.abs(got.reshape(want.shape) - sign * want) / np.abs(want)
             assert np.max(rel) <= 1e-12
             for idx in np.ndindex(want.shape):
-                scalar = exp_poly_integral(complex(z[idx[:2]]), int(idx[2]),
-                                           a, b)
-                assert isinstance(scalar, complex)
-                assert abs(scalar - sign * want[idx]) <= 1e-12 * abs(want[idx])
+                one = exp_kernel([z[idx[:2]]], [0.0], a, b, idx[2])[0, 0]
+                assert abs(one - sign * want[idx]) <= 1e-12 * abs(want[idx])
 
 
 class TestExpKernel:
@@ -206,7 +215,8 @@ class TestExpKernel:
         mr = rng.integers(0, 2, 37)
         mc = rng.integers(0, 2, 11)
         K = exp_kernel(zr, zc, 0.2, 1.7, mr, mc)
-        want = exp_poly_integral(zr[:, None] + zc, mr[:, None] + mc, 0.2, 1.7)
+        want = exp_kernel((zr[:, None] + zc).ravel(), [0.0], 0.2, 1.7,
+                          (mr[:, None] + mc).ravel()).reshape(K.shape)
         assert np.max(np.abs(K - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -461,7 +471,9 @@ class TestCentredKernel:
 
     def test_huge_horizon_stays_finite(self):
         # the series of exp_kernel squares T: at T = 1e160 its zero
-        # frequency read nan; the centred kernel reads 2h = T
+        # frequency read nan; the centred kernel reads 2h = T, in the norm
+        # and in the bilinear integral
+        sig = ExponentialSignal(((1.0, 0.0, 0),))
         with np.errstate(all="raise"):
-            assert ExponentialSignal(((1, 0.0, 0),)).l2_norm_sq(0, 1e160) \
-                == 1e160
+            assert sig.l2_norm_sq(0, 1e160) == 1e160
+            assert sig.bilinear_integral(sig, 0.0, 1e160) == 1e160
