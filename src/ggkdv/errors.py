@@ -10,8 +10,8 @@ class AliasError(GGKdVError):
 
 
 class EpsilonUnderflow(GGKdVError):
-    """Chain clustering tolerance fell below 1e-14 without resolving;
-    usually signals a genuine frequency resonance."""
+    """Chain clustering tolerance fell below 1e-14 without resolving, or a
+    chain linked two coincident frequencies; signals a resonance."""
 
 
 class ConstraintViolation(GGKdVError):

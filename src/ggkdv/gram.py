@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EpsilonUnderflow
-from .signals import _centred_kernel, _centred_matrix, _phase, exp_kernel
+from .signals import _centred_kernel, _centred_matrix, _phase
 from .spectral import (PhysicalParams, SpectrumTable, _from_real,
                        mode_phases, spectrum_table, trace_amplitudes)
 
@@ -276,20 +276,21 @@ def _newton_gram(omega, linked, window: ObservationWindow) -> np.ndarray:
     """Closed-form Gram ``integral_I b_m conj(b_n) dt`` of the Newton basis
     of the chains ``linked`` over the sorted frequencies omega: e^{i w t}
     for each w, except that the second member of a pair (w1, w2) gives
-    (e^{i w1 t} - e^{i w2 t}) / (w1 - w2), or t e^{i w1 t} within
-    COINCIDENT_TOL.  The Gram of the exponentials (and of t e^{i w1 t}) is
-    built once and mapped to the difference rows, then columns, in place:
-    the pairs are disjoint."""
+    (e^{i w1 t} - e^{i w2 t}) / (w1 - w2).  The Gram of the exponentials,
+    e^{i w_m c} K_h(w_m - w_n) e^{-i w_n c} over the window's centre c and
+    half-length h, is mapped to the difference rows, then columns, in place
+    (the pairs are disjoint).  A pair within COINCIDENT_TOL would need the
+    limit t e^{i w1 t}: it raises EpsilonUnderflow, as a resonance."""
     pairs = np.flatnonzero(linked)
-    near = omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL
-    apart, close = pairs[~near], pairs[near]
-    freqs = omega.copy()
-    freqs[close + 1] = omega[close]
-    degrees = np.zeros(len(omega), dtype=int)
-    degrees[close + 1] = 1
-    G = exp_kernel(freqs, None, window.t0, window.t1, degrees)
-    gap = omega[apart] - omega[apart + 1]
-    G[apart + 1] = (G[apart] - G[apart + 1]) / gap[:, None]
-    G[:, apart + 1] = (G[:, apart] - G[:, apart + 1]) / gap
+    if np.any(omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL):
+        raise EpsilonUnderflow("coincident frequencies; run resonance_check")
+    h = window.length / 2
+    cis = _phase(omega, h)
+    centre = cis if window.t0 == 0 else _phase(omega, window.t0 + h)
+    G = _centred_matrix(omega, None, h, cis, [np.subtract])[0]
+    G = centre[:, None] * G * np.conj(centre)
+    gap = omega[pairs] - omega[pairs + 1]
+    G[pairs + 1] = (G[pairs] - G[pairs + 1]) / gap[:, None]
+    G[:, pairs + 1] = (G[:, pairs] - G[:, pairs + 1]) / gap
     # symmetrize away last-bit asymmetry
     return (G + G.conj().T) / 2

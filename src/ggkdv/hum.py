@@ -254,7 +254,7 @@ def solve_control(params: PhysicalParams, N: int, x0: float, T: float,
     rows = -np.conj(trace_amplitudes(params, N, x0, adjoint=True)) * s
     used = [mode != "g_only", mode != "f_only"]
     omega = spectrum_table(params, N).omega.ravel()
-    sigs = _signals(rows[used], -omega, np.zeros(len(s), dtype=int))
+    sigs = _signals(rows[used], -omega)
     f, g = (next(sigs) if use else None for use in used)
     return ControlPlan(f, g, x0, T, np.conj(s), est)
 

@@ -147,7 +147,7 @@ def trace(params: PhysicalParams, state: ModalState, x0: float,
     of the k=0 pair's coinciding frequencies merge by amplitude addition."""
     amps = trace_amplitudes(params, state.N, x0, adjoint) * state.coeffs.ravel()
     omega = spectrum_table(params, state.N).omega.ravel()
-    return tuple(_signals(amps, omega, np.zeros(len(omega), dtype=int)))
+    return tuple(_signals(amps, omega))
 
 
 def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
@@ -157,9 +157,9 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
     ``g(t) delta_{x0}`` (v-equation) over [0, T], T of either sign.
 
     Per mode the forcing is decomposed onto the eigenbasis and each Duhamel
-    integral ``integral_0^T e^{i omega (T-s)} s^d e^{i mu s} ds`` is
-    evaluated in closed form, at degree 0 as ``e^{i (omega + mu) T/2}
-    K_h(mu - omega)`` with the real centred kernel K_h, h = T/2
+    integral ``integral_0^T e^{i omega (T-s)} e^{i mu s} ds`` is evaluated in
+    closed form, as ``e^{i (omega + mu) T/2} K_h(mu - omega)`` with the real
+    centred kernel K_h, h = T/2
     (``signals._integrate``); both controls share one kernel row per
     frequency.  With both controls absent this reduces to the free flow.
     """
@@ -174,8 +174,8 @@ def forced_evolve(params: PhysicalParams, N: int, state0: ModalState,
     channels = [(sig, row) for sig, row in zip((f, g), inputs) if sig]
     if not channels:
         return out
-    amps, freqs, degrees = stack_terms([sig for sig, _ in channels])
-    integ = _integrate(amps, freqs, degrees, 0.0, T, -table.omega.ravel())
+    amps, freqs = stack_terms([sig for sig, _ in channels])
+    integ = _integrate(amps, freqs, 0.0, T, -table.omega.ravel())
     base = (phase / (2 * np.pi * table.norm2)).ravel()
     for (_, inp), row in zip(channels, integ):
         out.coeffs += (inp * base * row).reshape(2, -1)

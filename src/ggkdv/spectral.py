@@ -305,17 +305,17 @@ def resonance_check(params: PhysicalParams, N: int, tol: float) -> ResonanceRepo
     if tol <= 0:
         raise ValueError("tol must be positive")
     table = spectrum_table(params, N)
-    labels = table.labels
-    freqs = table.omega.ravel()
+    freqs, labels = table.omega.ravel(), table.labels
     order = np.argsort(freqs, kind="stable")
-    violations = []
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            fi, fj = freqs[order[i]], freqs[order[j]]
-            if fj - fi >= tol:
-                break
-            li, lj = labels[order[i]], labels[order[j]]
-            if {li, lj} == {(0, Branch.PLUS), (0, Branch.MINUS)}:
-                continue
-            violations.append(tuple(sorted((li, lj))))
-    return ResonanceReport(tuple(sorted(violations)))
+    f, structural = freqs[order], {(0, Branch.PLUS), (0, Branch.MINUS)}
+    # sorted, f_i pairs with the f_j, i < j < stop_i, where f_j - f_i < tol:
+    # stop from f_i + tol to an ulp, then moved by the exact test (f_n = inf)
+    g = np.append(f, np.inf)
+    stop = np.maximum(np.searchsorted(f, f + tol), np.arange(1, len(f) + 1))
+    while (step := (g[stop] - f < tol) * 1 - (g[stop - 1] - f >= tol)).any():
+        stop += step
+    order = order.tolist()
+    return ResonanceReport(tuple(sorted(
+        tuple(sorted((labels[order[i]], labels[order[j]])))
+        for i, end in enumerate(stop.tolist()) for j in range(i + 1, end)
+        if {labels[order[i]], labels[order[j]]} != structural)))

@@ -7,8 +7,9 @@ feedback ``K = -B^H Lambda_w^{-1}`` built from the weighted Gramian
     Lambda_w = integral_0^{Th} e^{-2 w s} e^{-sA} B B^H e^{-s A^H} ds,
 
 whose entries are closed-form exponential integrals: the real weight shifts
-each frequency difference by 2 i w and keeps Lambda_w Hermitian.  One eig
-of the closed-loop generator and a decay-rate fit then verify the loop.
+each frequency difference by 2 i w (``signals._shifted_matrix``) and keeps
+Lambda_w Hermitian.  One eig of the closed-loop generator and a decay-rate
+fit then verify the loop.
 
 Everything after the Gramian runs in the real-field basis: per branch,
 u_k = (e_k + e_-k)/sqrt2 and v_k = i (e_k - e_-k)/sqrt2 for k > 0, and
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import GramianSingular
 from .modal import ModalState
-from .signals import exp_kernel
+from .signals import _phase, _shifted_matrix
 from .spectral import (PhysicalParams, _from_real, _to_real,
                        critical_time, resonance_check, spectrum_table,
                        trace_amplitudes)
@@ -84,12 +85,13 @@ def _weighted_gramian(params: PhysicalParams, N: int, x0: float,
     # w = (1, ac/d)
     inputs = (np.conj(trace_amplitudes(params, N, x0))
               * [[1.0], [params.weight]] / scale)
-    # entry (m, j) integrates e^{i (z_m - conj(z_j)) s} at z = i w - omega,
-    # Hermitian as the weight is real, times sum_c inputs[c, m]
-    # conj(inputs[c, j]), whose diagonal is not exactly real
+    # entry (m, j) is e^{-i omega_m h} k[m, j] e^{i omega_j h}, h = Th / 2,
+    # times sum_c inputs[c, m] conj(inputs[c, j]): the phases go onto the
+    # inputs, whose products leave the diagonal not exactly real
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = exp_kernel(1j * omega_target - omega, None, 0.0, Th)
-        lam *= sum(np.outer(a, np.conj(a)) for a in inputs)
+        cis = _phase(omega, Th / 2)
+        lam = _shifted_matrix(omega, Th / 2, omega_target, cis)
+        lam *= sum(np.outer(a, np.conj(a)) for a in inputs * np.conj(cis))
     if not np.all(np.isfinite(lam)):
         raise ValueError(f"rate {omega_target:g} and horizon Th={Th:g} "
                          "overflow the weighted Gramian")

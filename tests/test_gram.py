@@ -16,19 +16,14 @@ from ggkdv.gram import (
 from ggkdv.gram import (COINCIDENT_TOL, _centred_kernel, _cluster,
                         _newton_gram, _parity_blocks, _structural_kernel)
 from ggkdv.modal import ModalState, energy, reconstruct, trace
-from ggkdv.signals import _centred_matrix, _phase, exp_kernel
+from ggkdv.signals import _centred_matrix, _integrate, _phase, _shifted_matrix
 from ggkdv.spectral import (PRESETS, PhysicalParams, critical_time,
                             spectrum_table, trace_amplitudes)
 from ggkdv.stabilize import _weighted_gramian
+from integral_oracle import exp_integral, quad_integral
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
-
-
-def integral(x, t0, t1):
-    """``integral_{t0}^{t1} e^{i x t} dt`` at each entry of the array x, as
-    ``exp_kernel`` with one zero column."""
-    return exp_kernel(x.ravel(), [0.0], t0, t1).reshape(x.shape)
 
 
 def _trace_amplitudes(params, N, x0):
@@ -38,12 +33,6 @@ def _trace_amplitudes(params, N, x0):
     u_amp, v_amp = trace_amplitudes(params, N, x0)
     return (u_amp, v_amp, table.omega.ravel(),
             (2 * np.pi * table.norm2).ravel(), table.labels)
-
-
-def quad_integral(func, t0, t1):
-    re, _ = quad(lambda t: func(t).real, t0, t1, limit=200)
-    im, _ = quad(lambda t: func(t).imag, t0, t1, limit=200)
-    return re + 1j * im
 
 
 class TestObservationWindow:
@@ -115,8 +104,11 @@ class TestNewtonGram:
                    tol=1e-10 + 4 * np.finfo(float).eps / (w2 - w1) ** 2)
 
     def test_coincident_pair_limit(self):
-        self.check([0.0, 5e-13], [True],
-                   [lambda t: np.ones_like(t), lambda t: t], 0.0, 1.0)
+        # a pair within COINCIDENT_TOL would need the limit t e^{i w1 t}:
+        # a resonance
+        with pytest.raises(EpsilonUnderflow):
+            _newton_gram(np.array([0.0, 5e-13]), np.array([True]),
+                         ObservationWindow(0.0, 1.0))
 
     def test_integer_harmonics_orthogonal(self):
         ks = np.arange(-2.0, 3.0)
@@ -143,10 +135,21 @@ def trace_gram_cases(draw):
     return amps, omega, shift, t0, t1
 
 
+def shifted_gram(omega, rate, t0, t1):
+    """``integral_{t0}^{t1} e^{i (omega_i - omega_j + 2 i rate) t} dt`` from
+    the weighted feedback Gramian's kernel over [0, t1 - t0] at the
+    frequencies -omega, with its phases, moved to t0."""
+    h = (t1 - t0) / 2
+    cis = _phase(omega, h)
+    k = _shifted_matrix(-omega, h, rate, np.conj(cis))
+    start = np.exp(1j * np.subtract.outer(omega, omega) * t0 - 2 * rate * t0)
+    return start * (cis[:, None] * k * np.conj(cis))
+
+
 class TestTraceGram:
-    """The multi-channel trace Gram ``sum_c a_c a_c^H * K``, K the kernel
-    of ``exp_kernel`` in its shifted layout (the weighted feedback
-    Gramian) and, unshifted, its Hermitian one."""
+    """The multi-channel trace Gram ``sum_c a_c a_c^H * K``, K the kernel of
+    the weighted feedback Gramian (``shifted_gram``) and, unshifted, that of
+    ``_integrate``."""
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
@@ -158,9 +161,10 @@ class TestTraceGram:
     def test_entries_against_quadrature(self, case):
         amps, omega, shift, t0, t1 = case
         outer = sum(np.outer(a, np.conj(a)) for a in amps)
-        grams = [exp_kernel(omega + shift, -omega, t0, t1) * outer]
+        grams = [shifted_gram(omega, shift.imag / 2, t0, t1) * outer]
         if not shift:
-            grams.append(exp_kernel(omega, None, t0, t1) * outer)
+            grams.append(_integrate(np.eye(len(omega)), omega, t0, t1)
+                         * outer)
         n = len(omega)
         for i in range(n):
             for j in range(n):
@@ -247,7 +251,7 @@ class TestObservabilityConstants:
         N, x0 = 6, 0.0
         win = ObservationWindow(0.0, 1.0)
         u_amp, v_amp, omega, ew, labels = _trace_amplitudes(GENERIC, N, x0)
-        base = integral(omega[:, None] - omega[None, :], win.t0, win.t1)
+        base = exp_integral(omega[:, None] - omega[None, :], win.t0, win.t1)
         O = (np.outer(u_amp, np.conj(u_amp))
              + np.outer(v_amp, np.conj(v_amp))) * base
         O = (O + O.conj().T) / 2
@@ -271,7 +275,7 @@ class TestObservabilityConstants:
         z[1, :, :] = [2 * a * c, 1 - c - root]
         norm2 = z[:, :, 0] ** 2 + GENERIC.weight * z[:, :, 1] ** 2
         omega = table.omega.ravel()
-        base = integral(omega[:, None] - omega[None, :], win.t0, win.t1)
+        base = exp_integral(omega[:, None] - omega[None, :], win.t0, win.t1)
         u_amp, v_amp = z[:, :, 0].ravel(), z[:, :, 1].ravel()
         O = (np.outer(u_amp, u_amp) + np.outer(v_amp, v_amp)) * base
         O = (O + O.conj().T) / 2
@@ -470,7 +474,7 @@ def observation_form(params, N, x0, window, mode):
     amplitudes: the Hermitian O with ``c^H O c`` the observed energy of
     the traces ``sum_j c_j amps_j e^{i omega_j t}`` of a state c."""
     u_amp, v_amp, omega, _, _ = _trace_amplitudes(params, N, x0)
-    base = integral(omega[None, :] - omega[:, None], window.t0, window.t1)
+    base = exp_integral(omega[None, :] - omega[:, None], window.t0, window.t1)
     O = sum(np.outer(np.conj(amp), amp) * base
             for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
             if mode in ("both", only))
@@ -544,7 +548,7 @@ def dense_real_form(params, N, length, mode):
     matrix, its entries from ``integral`` over [0, h]."""
     u_amp, v_amp, omega, ew, _ = _trace_amplitudes(params, N, 0.0)
     h = length / 2
-    base = 2 * integral(omega[:, None] - omega[None, :], 0.0, h).real
+    base = 2 * exp_integral(omega[:, None] - omega[None, :], 0.0, h).real
     R = sum(np.outer(amp.real, amp.real) * base
             for amp, only in ((u_amp, "u_only"), (v_amp, "v_only"))
             if mode in ("both", only))
@@ -553,21 +557,15 @@ def dense_real_form(params, N, length, mode):
 
 
 def dense_newton_gram(omega, linked, t0, t1):
-    """``M K M^H``: the Gram of the exponentials (t e^{i w t} for the second
-    member of a close pair) mapped to the Newton basis by one dense
-    amplitude matrix M, the identity but for the difference rows."""
+    """``M K M^H``: the Gram of the exponentials mapped to the Newton basis
+    by one dense amplitude matrix M, the identity but for the difference
+    rows."""
     pairs = np.flatnonzero(linked)
-    near = omega[pairs + 1] - omega[pairs] <= COINCIDENT_TOL
-    apart, close = pairs[~near], pairs[near]
     M = np.eye(len(omega))
-    inv = 1.0 / (omega[apart] - omega[apart + 1])
-    M[apart + 1, apart] = inv
-    M[apart + 1, apart + 1] = -inv
-    freqs = omega.copy()
-    freqs[close + 1] = omega[close]
-    degrees = np.zeros(len(omega), dtype=int)
-    degrees[close + 1] = 1
-    K = exp_kernel(freqs, -freqs, t0, t1, degrees, degrees)
+    inv = 1.0 / (omega[pairs] - omega[pairs + 1])
+    M[pairs + 1, pairs] = inv
+    M[pairs + 1, pairs + 1] = -inv
+    K = exp_integral(np.subtract.outer(omega, omega), t0, t1)
     return M @ K @ M.T
 
 
@@ -593,23 +591,29 @@ class TestNewtonMap:
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_close_and_apart_pairs(self):
+        # the close pair linked is a resonance; left as two exponentials,
+        # it sits beside a difference row
         omega = np.array([-2.0, 0.0, 0.5 * COINCIDENT_TOL, 3.0, 3.25, 7.0])
-        linked = np.array([False, True, False, True, False])
-        G = _newton_gram(omega, linked, ObservationWindow(0.4, 2.1))
+        window = ObservationWindow(0.4, 2.1)
+        with pytest.raises(EpsilonUnderflow):
+            _newton_gram(omega, np.array([False, True, False, True, False]),
+                         window)
+        linked = np.array([False, False, False, True, False])
+        G = _newton_gram(omega, linked, window)
         ref = dense_newton_gram(omega, linked, 0.4, 2.1)
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_kernel_built_once_without_left(self, monkeypatch):
-        # one Hermitian kernel, mapped in place to the Newton basis
+        # one symmetric centred kernel, mapped in place to the Newton basis
         columns = []
-        kernel = gram.exp_kernel
+        kernel = gram._centred_matrix
 
         def spy(*args, **kw):
             columns.append(args[1])
             return kernel(*args, **kw)
 
-        monkeypatch.setattr(gram, "exp_kernel", spy)
-        omega = np.array([-2.0, 0.0, 0.5 * COINCIDENT_TOL, 3.0, 3.25, 7.0])
+        monkeypatch.setattr(gram, "_centred_matrix", spy)
+        omega = np.array([-2.0, 0.0, 0.25, 3.0, 3.25, 7.0])
         _newton_gram(omega, np.array([False, True, False, True, False]),
                      ObservationWindow(0.0, 1.0))
         assert columns == [None]
@@ -627,7 +631,7 @@ class TestParityForm:
         omega = spectrum_table(PRESETS[preset], N).omega[:, N:].ravel()
         h = length / 2
         for delta in (omega[:, None] - omega, omega[:, None] + omega):
-            ref = 2 * integral(delta, 0.0, h).real
+            ref = 2 * exp_integral(delta, 0.0, h).real
             assert np.max(np.abs(_centred_kernel(delta, h) - ref)) \
                 <= 1e-15 * 2 * h
 
@@ -644,7 +648,7 @@ class TestParityForm:
                                   (np.subtract, np.add))
         for K, x in zip(kernels, (omega[:, None] - omega,
                                   omega[:, None] + omega)):
-            ref = 2 * integral(x, 0.0, h).real
+            ref = 2 * exp_integral(x, 0.0, h).real
             assert np.max(np.abs(K - ref)) <= 1e-15 * 2 * h
 
     def test_parity_kernels_long_window(self):
@@ -790,14 +794,14 @@ class TestIngham:
     @pytest.mark.parametrize("length", [0.3, 2.0, 2 * np.pi, 37.0, 1e3])
     def test_against_uncentred_complex_gram(self, length):
         # the extreme eigenvalues of the complex Gram over [t0, t1] from
-        # exp_kernel, for non-integer families and t0 != 0
+        # the test-side closed form, for non-integer families and t0 != 0
         rng = np.random.default_rng(int(length * 10))
         for _ in range(10):
             freqs = np.sort(rng.uniform(-16.0, 16.0, int(rng.integers(3, 25))))
             t0 = float(rng.uniform(-7.0, 7.0))
             direct, inverse = ingham_report(
                 freqs, ObservationWindow(t0, t0 + length))
-            G = exp_kernel(freqs, None, t0, t0 + length)
+            G = exp_integral(np.subtract.outer(freqs, freqs), t0, t0 + length)
             ref = np.linalg.eigvalsh((G + G.conj().T) / 2)
             beta = ref[-1]
             assert abs(direct - beta) <= 5e-15 * beta

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from ggkdv.errors import ConstraintViolation, IllConditioned
 from ggkdv.hum import (
@@ -31,28 +30,24 @@ from ggkdv.modal import (
     u_mean,
     v_mean,
 )
-from ggkdv.signals import ExponentialSignal, exp_kernel
+from ggkdv.signals import ExponentialSignal
 from ggkdv.spectral import (PRESETS, PhysicalParams, _from_real, _to_real,
                             critical_time, spectrum_table, trace_amplitudes)
+from integral_oracle import exp_integral, quad_integral
 
 GENERIC = PRESETS["generic"]
 RESONANT = PRESETS["resonant"]
 
 
-def quad_integral(func, t0, t1):
-    re, _ = quad(lambda t: func(t).real, t0, t1, limit=300)
-    im, _ = quad(lambda t: func(t).imag, t0, t1, limit=300)
-    return re + 1j * im
-
-
 def reference_lambda(system):
     """The operator ``system`` was assembled for, built apart from its
-    parity blocks: the Hermitian kernel over [0, T] times ``sum_c a_c
-    a_c^H`` of the observed adjoint trace amplitudes at x0."""
+    parity blocks: the test-side closed form of the kernel over [0, T]
+    times ``sum_c a_c a_c^H`` of the observed adjoint trace amplitudes at
+    x0."""
     params, N = system.params, system.N
     omega = spectrum_table(params, N).omega.ravel()
     amps = trace_amplitudes(params, N, system.x0, adjoint=True)
-    return exp_kernel(omega, None, 0.0, system.T) * sum(
+    return exp_integral(np.subtract.outer(omega, omega), 0.0, system.T) * sum(
         np.outer(a, np.conj(a)) for a in amps[_CHANNELS[system.mode]])
 
 
@@ -530,26 +525,6 @@ class TestVerifyRoundtrip:
                    + evolve(params, target, -T))
         plan = solve_control(params, N, x0, T, initial, target, "both")
         assert verify_roundtrip(params, N, plan, initial, target) <= 1e-12
-
-    def test_degree_zero_check_and_cost_skip_the_complex_kernel(
-            self, monkeypatch):
-        # the Duhamel step, the cost of a plan and the duality residual's
-        # bilinear integrals take the real centred kernel, never exp_kernel
-        N, T = 6, 1.2 * critical_time(RESONANT)
-        rng = np.random.default_rng(14)
-        initial = unit_energy_state(RESONANT, N, rng)
-        target = unit_energy_state(RESONANT, N, rng)
-        seed = unit_energy_state(RESONANT, N, rng)
-        plan = solve_control(RESONANT, N, 0.3, T, initial, target)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("exp_kernel called")
-
-        monkeypatch.setattr("ggkdv.signals.exp_kernel", refuse)
-        assert verify_roundtrip(RESONANT, N, plan, initial, target) <= 1e-14
-        assert control_cost(plan) > 0
-        assert duality_residual(RESONANT, N, plan.f, plan.g, 0.3, initial,
-                                seed, T) <= 1e-14
 
 
 class TestDuality:

@@ -296,15 +296,6 @@ class TestForcedEvolve:
         want = table.z[:, N, 0] * T / (2 * np.pi * table.norm2[:, N])
         assert np.allclose(got.coeffs[:, N], want, rtol=1e-14)
 
-    def test_degree_one_forcing_against_oracle(self):
-        N, T = 3, 1.0
-        rng = np.random.default_rng(14)
-        s = ModalState.random(N, rng)
-        f = ExponentialSignal(((0.5 - 0.1j, 1.7, 1),))
-        got = forced_evolve(GENERIC, N, s, f, None, 0.3, T)
-        want = ivp_forced_evolve(GENERIC, N, s, f, None, 0.3, T)
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-9
-
     def test_backward_in_time_against_oracle(self):
         N = 3
         rng = np.random.default_rng(15)

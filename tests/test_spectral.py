@@ -377,6 +377,37 @@ class TestResonanceCheck:
         with pytest.raises(ValueError):
             resonance_check(GENERIC, 4, 0.0)
 
+    @staticmethod
+    def loop_pairs(params, N, tol):
+        """The double loop over sorted frequencies that listed the pairs
+        before the array search, as the reference."""
+        table = spectrum_table(params, N)
+        freqs, labels = table.omega.ravel(), table.labels
+        order = np.argsort(freqs, kind="stable")
+        pairs = []
+        for i in range(len(order)):
+            for j in range(i + 1, len(order)):
+                if freqs[order[j]] - freqs[order[i]] >= tol:
+                    break
+                li, lj = labels[order[i]], labels[order[j]]
+                if {li, lj} != {(0, Branch.PLUS), (0, Branch.MINUS)}:
+                    pairs.append(tuple(sorted((li, lj))))
+        return tuple(sorted(pairs))
+
+    @pytest.mark.parametrize("N", [0, 1, 6, 12, 32])
+    @pytest.mark.parametrize("params", [
+        GENERIC, RESONANT, PhysicalParams(1.0, 2.0, 1.0, 1e-12)],
+        ids=["generic", "resonant", "dense-minus-branch"])
+    def test_matches_the_loop(self, params, N):
+        # every gap of the spectrum is also a tolerance, where the exact
+        # test f_j - f_i < tol must leave that pair out
+        f = np.sort(spectrum_table(params, N).omega.ravel())
+        gaps = np.unique(f[:, None] - f)
+        gaps = gaps[gaps > 0][::max(1, len(gaps) // 40)]
+        for tol in (1e-9, 1e-3, 1.0, 10.0, 1e3, 1e300, *gaps):
+            assert resonance_check(params, N, tol).violations \
+                == self.loop_pairs(params, N, tol)
+
 
 class TestCriticalTime:
     def test_nonresonant_zero(self):
