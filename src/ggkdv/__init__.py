@@ -24,5 +24,6 @@ from .spectral import (PRESETS, Branch, GapReport, PhysicalParams,
 from .stabilize import (DecayReport, FeedbackGains, closed_loop_simulate,
                         feedback_gains, zero_gains)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], type(_os))]
 __version__ = "0.1.0"

@@ -228,7 +228,7 @@ def ingham_report(frequencies, window: ObservationWindow) -> tuple[float, float]
     those of the real Gram ``_centred_kernel(omega_i - omega_j)`` over the
     centred window [-h, h]."""
     freqs = np.asarray(sorted(frequencies), dtype=float)
-    if not 0 < len(np.unique(freqs)) == len(freqs):
+    if not (len(freqs) and np.all(np.diff(freqs) > 0)):
         raise ValueError("frequencies must be one or more distinct numbers")
     with np.errstate(over="ignore", invalid="ignore"):
         G = _centred_kernel(np.subtract.outer(freqs, freqs), window.length / 2)

@@ -112,6 +112,15 @@ class TestControl:
         assert proc.stderr == ""
         assert (tmp_path / "plan.json").exists()
 
+    def test_horizon_past_sqrt_float_max(self, tmp_path):
+        # past sqrt(float max): the solution scales as 1/T, and the error
+        # estimate takes its norm without underflow
+        cfg = {"preset": "generic", "N": 6, "T": 1e200, "seed": 3,
+               "initial": "random", "target": "random"}
+        assert run_cli(tmp_path, "control", "--quiet", config=cfg) == 0
+        verify = (tmp_path / "verify.csv").read_text().strip().splitlines()
+        assert float(verify[1].split(",")[-1]) <= 1e-15
+
 
 class TestDefaults:
     @pytest.mark.parametrize("command", ["control", "stabilize"])
@@ -208,9 +217,8 @@ class TestErrors:
         ("control", {"initial": [[0.0, 0.0]] * 25 + ["x"]}),
         ("observe", {"preset": ["generic"]}),
         ("observe", {"preset": {"a": 1}}),
-        # the horizon guard: past sqrt(float max) the error estimate's
-        # norm of the solution, which scales as 1/T, underflows
-        ("control", {"N": 6, "T": 1e200}),
+        # the control operator's form overflows
+        ("control", {"N": 6, "T": 1e308}),
         ("observe", {"preset": None, "a": math.inf}),
         ("spectrum", {"preset": None, "d": math.nan}),
         ("spectrum", {"preset": None, "a": "2"}),

@@ -429,9 +429,27 @@ class TestSolveControl:
         with pytest.raises(ValueError, match="horizon must be positive"):
             solve_control(GENERIC, N, 0.0, -0.7, initial, ModalState.zeros(N))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [1e150, 1e200, 1e250, 1e300])
+    def test_error_estimate_bounds_roundtrip_at_huge_horizons(self, T):
+        # the solution and its refinement's corrections scale as 1/T; a
+        # plain norm's squares underflow here, and the round trip then
+        # exceeds the estimate by up to 1.29x at T = 1e200 to 1e300
+        rng = np.random.default_rng(int(np.log10(T)))
+        for params in (GENERIC, RESONANT):
+            for N in (6, 16):
+                system = assemble_lambda(params, N, 0.3, T)
+                for _ in range(12):
+                    initial = ModalState.random(N, rng)
+                    target = ModalState.random(N, rng)
+                    plan = solve_control(params, N, 0.3, T, initial, target,
+                                         system=system)
+                    err = verify_roundtrip(params, N, plan, initial, target)
+                    assert err <= plan.error_estimate <= ERROR_EST_LIMIT
+
     def test_overflowing_horizon_rejected(self):
-        with pytest.raises(ValueError, match="overflows"):
-            assemble_lambda(GENERIC, 6, 0.0, 1e200)
+        with pytest.raises(ValueError, match="overflows the form"):
+            assemble_lambda(GENERIC, 6, 0.0, 1e308)
 
     def test_nonfinite_state_rejected(self):
         # a NaN defect must not come back as a NaN plan
